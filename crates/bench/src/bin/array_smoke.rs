@@ -10,7 +10,7 @@
 //! the binary itself asserts, and `bench_check` validates the artifact.
 
 use rand::Rng;
-use stash_bench::{f, header, rng, row, BenchMeter};
+use stash_bench::{f, rng, Run, Scale};
 use stash_flash::{
     ArrayDevice, BitPattern, BlockId, ChipProfile, FaultDevice, FaultPlan, Geometry, NandDevice,
     TraceDevice,
@@ -36,8 +36,8 @@ fn key() -> stash_crypto::HidingKey {
 }
 
 fn main() {
-    let mut meter = BenchMeter::start("array_smoke");
-    header(
+    let mut run = Run::new("array_smoke", Scale::Full);
+    run.header(
         "Array-shard smoke: whole-chip loss on a 4-chip array",
         &format!(
             "{SLOTS} hidden slots striped in groups of {PARITY_GROUP} over {CHIPS} chips under \
@@ -99,9 +99,11 @@ fn main() {
     let retired_on_dead =
         vol2.ftl().retired_blocks().iter().filter(|b| b.0 / local == DEAD_CHIP).count();
 
-    row(["chips", "dead_chip", "survival", "reconstructed", "lost", "retired_on_dead"]
-        .map(String::from));
-    row([
+    run.row(
+        ["chips", "dead_chip", "survival", "reconstructed", "lost", "retired_on_dead"]
+            .map(String::from),
+    );
+    run.row([
         CHIPS.to_string(),
         DEAD_CHIP.to_string(),
         f(survival, 4),
@@ -109,6 +111,7 @@ fn main() {
         remount.lost.to_string(),
         retired_on_dead.to_string(),
     ]);
+    print!("{}", run.out);
 
     assert_eq!(remount.lost, 0, "whole-chip loss must be fully recoverable: {remount:?}");
     assert!(
@@ -120,14 +123,14 @@ fn main() {
         "every block of the dead chip must be retired at mount"
     );
 
-    meter.record("chips", f64::from(CHIPS));
-    meter.record("dead_chip", f64::from(DEAD_CHIP));
-    meter.record("survival", survival);
-    meter.record("reconstructed", remount.reconstructed as f64);
-    meter.record("lost", remount.lost as f64);
-    meter.record("retired_on_dead", retired_on_dead as f64);
-    meter.record("journal_replayed", mount.live_pages as f64);
-    meter.finish();
+    run.meter.record("chips", f64::from(CHIPS));
+    run.meter.record("dead_chip", f64::from(DEAD_CHIP));
+    run.meter.record("survival", survival);
+    run.meter.record("reconstructed", remount.reconstructed as f64);
+    run.meter.record("lost", remount.lost as f64);
+    run.meter.record("retired_on_dead", retired_on_dead as f64);
+    run.meter.record("journal_replayed", mount.live_pages as f64);
+    run.meter.finish();
     println!("ok: 100% of hidden payload bytes survive a whole-chip loss on a {CHIPS}-chip array");
     println!("# machine-readable record: results/BENCH_array_smoke.json");
 }

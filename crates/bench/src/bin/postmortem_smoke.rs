@@ -12,7 +12,7 @@
 //! then re-validates the emitted artifacts.
 
 use rand::{rngs::SmallRng, SeedableRng};
-use stash_bench::{header, BenchMeter};
+use stash_bench::{Run, Scale};
 use stash_flash::{
     BitPattern, BlockId, Chip, ChipProfile, FlightDevice, NandDevice, PageId, PowerCut,
     PowerCutDevice, TraceDevice,
@@ -65,11 +65,12 @@ fn crash_run() -> (String, usize, u64) {
 }
 
 fn main() {
-    let mut meter = BenchMeter::start("postmortem_smoke");
-    header(
+    let mut run = Run::new("postmortem_smoke", Scale::Full);
+    run.header(
         "Postmortem smoke: mid-pulse power cut through the flight recorder",
         &format!("cut at op {CUT_AT} (a page program, fraction 0.5), seed {SEED:#x}"),
     );
+    print!("{}", run.out);
 
     let (raw, captured, total_ops) = crash_run();
 
@@ -99,10 +100,10 @@ fn main() {
     println!("captured\t{captured}");
     println!("total_ops\t{total_ops}");
     println!("artifact_bytes\t{}", raw.len());
-    meter.record("captured", captured as f64);
-    meter.record("total_ops", total_ops as f64);
-    meter.record("artifact_bytes", raw.len() as f64);
-    meter.record("cut_at", CUT_AT as f64);
-    meter.finish();
+    run.meter.record("captured", captured as f64);
+    run.meter.record("total_ops", total_ops as f64);
+    run.meter.record("artifact_bytes", raw.len() as f64);
+    run.meter.record("cut_at", CUT_AT as f64);
+    run.meter.finish();
     println!("# OK: postmortem artifact valid and reproducible");
 }

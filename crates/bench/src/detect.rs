@@ -12,10 +12,8 @@ use stash_svm::{grid_search, Dataset, StandardScaler, Svm};
 use vthi::VthiConfig;
 
 /// How many blocks per class per chip (paper: representativeness converged
-/// after analyzing 31 blocks). Override with `STASH_BLOCKS` for quick runs.
-pub fn blocks_per_class() -> u32 {
-    std::env::var("STASH_BLOCKS").ok().and_then(|v| v.parse().ok()).unwrap_or(31)
-}
+/// after analyzing 31 blocks).
+pub const BLOCKS_PER_CLASS: u32 = 31;
 
 /// The block-level feature vector: the normalized 256-bin voltage
 /// histogram of every cell in the block. The probe buffer is reused across

@@ -5,9 +5,9 @@
 //! cells above the threshold read as `0`). Higher thresholds shrink both.
 //! The paper picked 34 empirically; this harness shows the whole trade-off.
 
-use stash_bench::{
-    experiment_key, f, fill_block, fill_block_hiding, header, measure_hidden_ber, raw_paper_config,
-    rng, row, short_block_geometry, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config,
+    rng, short_block_geometry, Run,
 };
 use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, Histogram, PageId};
 use std::fmt::Write as _;
@@ -15,20 +15,21 @@ use std::fmt::Write as _;
 const BLOCKS: u32 = 3;
 const VTHS: [u8; 6] = [20, 27, 34, 42, 50, 60];
 
-fn main() {
-    let mut meter = BenchMeter::start("ablation_vth");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
 
-    header(
+    r.header(
         "Ablation: hidden threshold Vth — capacity vs reliability",
         &format!("{BLOCKS} blocks per point; 256 hidden bits/page; 18048-byte pages"),
     );
-    row(["vth", "natural_above_pct", "stealth_budget_bits_per_page", "hidden_ber_at_10_steps"]
-        .map(String::from));
+    r.row(
+        ["vth", "natural_above_pct", "stealth_budget_bits_per_page", "hidden_ber_at_10_steps"]
+            .map(String::from),
+    );
 
-    let mut r = rng(340);
+    let mut rng = rng(340);
 
     // One fixed natural baseline: probe erased cells of plain blocks once,
     // then read every threshold's occupancy off the same histogram (so the
@@ -38,7 +39,7 @@ fn main() {
         let mut chip = Chip::new(profile.clone(), 4000);
         let mut levels = Vec::new();
         for b in 0..BLOCKS {
-            let publics = fill_block(&mut chip, BlockId(b), &mut r);
+            let publics = fill_block(&mut chip, BlockId(b), &mut rng);
             for (p, public) in publics.iter().enumerate() {
                 chip.probe_voltages_into(PageId::new(BlockId(b), p as u32), &mut levels)
                     .expect("probe");
@@ -61,7 +62,7 @@ fn main() {
         let mut total = BitErrorStats::default();
         for b in 0..BLOCKS {
             let (_publics, reports) =
-                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             total.absorb(measure_hidden_ber(&mut chip, &key, &cfg, &reports));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
@@ -69,7 +70,7 @@ fn main() {
         // §6.3 budget: ~73% of the natural population, in cells ⇒ ×2 bits.
         let erased_per_page = 144_384 / 2;
         let budget = (above * erased_per_page as f64 * 0.73 * 2.0) as usize;
-        row([vth.to_string(), f(above * 100.0, 3), budget.to_string(), f(total.ber(), 5)]);
+        r.row([vth.to_string(), f(above * 100.0, 3), budget.to_string(), f(total.ber(), 5)]);
         if !json_rows.is_empty() {
             json_rows.push_str(",\n");
         }
@@ -81,10 +82,9 @@ fn main() {
             f(total.ber(), 5),
         );
     }
-    meter.record_json("vth_tradeoff", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
-    println!();
-    println!("# the paper's Vth=34 sits where the natural population still covers the");
-    println!("# 256-bit default (budget >= hidden bits) while the hidden-'1' collision");
-    println!("# floor stays under ~1%");
+    r.meter.record_json("vth_tradeoff", &format!("[\n{json_rows}\n    ]"));
+    outln!(r);
+    outln!(r, "# the paper's Vth=34 sits where the natural population still covers the");
+    outln!(r, "# 256-bit default (budget >= hidden bits) while the hidden-'1' collision");
+    outln!(r, "# floor stays under ~1%");
 }

@@ -3,25 +3,23 @@
 //! hides a 256-bit payload per relevant page on a fresh chip and measures a
 //! BER of ≈1%, similar to vendor A.
 
-use stash_bench::rng;
-use stash_bench::{
-    experiment_key, f, fill_block_hiding, header, measure_hidden_ber, raw_paper_config, row,
-    BenchMeter,
+use crate::rng;
+use crate::{
+    experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, Run,
 };
 use stash_flash::{BlockId, Chip, ChipProfile, Geometry};
 
-fn main() {
-    let mut meter = BenchMeter::start("applicability");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let cfg = raw_paper_config(256, 1);
 
-    header(
+    r.header(
         "§8 Applicability: VT-HI on a second vendor's chip model",
         "256-bit payloads, fresh chips (PEC 0), raw (pre-ECC) hidden BER",
     );
-    row(["chip_model", "page_bytes", "hidden_ber"].map(String::from));
+    r.row(["chip_model", "page_bytes", "hidden_ber"].map(String::from));
 
-    let mut r = rng(88);
+    let mut rng = rng(88);
     for (name, mut profile) in
         [("vendor-A", ChipProfile::vendor_a()), ("vendor-B", ChipProfile::vendor_b())]
     {
@@ -35,15 +33,14 @@ fn main() {
         let mut total = stash_flash::BitErrorStats::default();
         for b in 0..3 {
             let (_publics, reports) =
-                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             total.absorb(measure_hidden_ber(&mut chip, &key, &cfg, &reports));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
-        row([name.to_owned(), profile.geometry.page_bytes.to_string(), f(total.ber(), 4)]);
+        r.row([name.to_owned(), profile.geometry.page_bytes.to_string(), f(total.ber(), 4)]);
         let metric = if name == "vendor-A" { "vendor_a_hidden_ber" } else { "vendor_b_hidden_ber" };
-        meter.record(metric, (total.ber() * 1e6).round() / 1e6);
+        r.meter.record(metric, (total.ber() * 1e6).round() / 1e6);
     }
-    meter.finish();
-    println!();
-    println!("# paper: vendor-B BER ~1%, 'similar to the one in the first model'");
+    outln!(r);
+    outln!(r, "# paper: vendor-B BER ~1%, 'similar to the one in the first model'");
 }

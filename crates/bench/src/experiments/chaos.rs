@@ -14,8 +14,8 @@
 //! live under the JSON's `wall` object, outside the `deterministic` object
 //! that holds the `rates` series `bench_compare` gates on.
 
+use crate::{f, outln, rng, write_trace_artifacts, Run};
 use rand::Rng;
-use stash_bench::{f, header, rng, row, write_trace_artifacts, BenchMeter};
 use stash_flash::{
     BitPattern, BlockId, Chip, ChipProfile, FaultDevice, FaultPlan, Geometry, NandDevice,
     TraceDevice,
@@ -61,11 +61,11 @@ fn run_rate(i: usize, rate: f64) -> (Vec<String>, String, f64) {
     // Public fill, hidden payloads, then GC churn — all under faults.
     let cap = vol.ftl().capacity_pages();
     let cpp = vol.ftl().chip().geometry().cells_per_page();
-    let mut r = rng(seed);
+    let mut rng = rng(seed);
     {
         let _s = tracer.span("fill_public");
         for lpn in 0..cap {
-            let data = BitPattern::random_half(&mut r, cpp);
+            let data = BitPattern::random_half(&mut rng, cpp);
             vol.write_public(lpn, &data).expect("public write");
         }
     }
@@ -80,8 +80,8 @@ fn run_rate(i: usize, rate: f64) -> (Vec<String>, String, f64) {
     {
         let _s = tracer.span("churn");
         for _ in 0..cap {
-            let lpn = r.gen_range(0..cap);
-            let data = BitPattern::random_half(&mut r, cpp);
+            let lpn = rng.gen_range(0..cap);
+            let data = BitPattern::random_half(&mut rng, cpp);
             vol.write_public(lpn, &data).expect("churn write");
         }
     }
@@ -172,9 +172,8 @@ fn run_rate(i: usize, rate: f64) -> (Vec<String>, String, f64) {
     (tsv, json_row, remount_wall_us)
 }
 
-fn main() {
-    let mut meter = BenchMeter::start("chaos");
-    header(
+pub fn run(r: &mut Run) {
+    r.header(
         "Chaos sweep: hidden-byte survival vs injected fault rate",
         &format!(
             "{SLOTS} slots; transient program/partial-program/erase faults at the listed rate, \
@@ -182,15 +181,17 @@ fn main() {
              then scrub + remount"
         ),
     );
-    row(["fault_rate", "survival", "faults", "retired", "migrated", "refreshed", "lost"]
-        .map(String::from));
+    r.row(
+        ["fault_rate", "survival", "faults", "retired", "migrated", "refreshed", "lost"]
+            .map(String::from),
+    );
 
     let results = stash_par::par_map(RATES.to_vec(), run_rate);
 
     let mut json_rows = String::new();
     let mut remount_wall_us_total = 0.0;
     for (tsv, json_row, remount_wall_us) in results {
-        row(tsv);
+        r.row(tsv);
         if !json_rows.is_empty() {
             json_rows.push_str(",\n");
         }
@@ -198,15 +199,14 @@ fn main() {
         remount_wall_us_total += remount_wall_us;
     }
 
-    meter.record_wall(
+    r.meter.record_wall(
         "mean_remount_wall_us",
         (remount_wall_us_total / RATES.len() as f64 * 1e3).round() / 1e3,
     );
-    meter.record("slots", SLOTS as f64);
-    meter.record("grown_bad_at_op", GROWN_BAD_AT_OP as f64);
-    meter.record_json("rates", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
-    println!("ok: >=99.9% of hidden payload bytes survive through the 1% fault point");
-    println!("# machine-readable series: results/BENCH_chaos.json");
-    println!("# trace artifacts (rate {TRACED_RATE}): results/TRACE_chaos.jsonl, results/TRACE_chaos.folded");
+    r.meter.record("slots", SLOTS as f64);
+    r.meter.record("grown_bad_at_op", GROWN_BAD_AT_OP as f64);
+    r.meter.record_json("rates", &format!("[\n{json_rows}\n    ]"));
+    outln!(r, "ok: >=99.9% of hidden payload bytes survive through the 1% fault point");
+    outln!(r, "# machine-readable series: results/BENCH_chaos.json");
+    outln!(r, "# trace artifacts (rate {TRACED_RATE}): results/TRACE_chaos.jsonl, results/TRACE_chaos.folded");
 }

@@ -19,11 +19,11 @@
 //!   representative run): pages journal-replayed, torn pages discarded,
 //!   hidden slots re-encoded, remount wall/device time.
 //!
-//! `STASH_CRASH_TARGET` (≥ 16, default 200) scales the matrix for smoke
-//! runs (`just crash-smoke` uses 64).
+//! The matrix aims for [`Scale::crash_target`](crate::Scale::crash_target)
+//! cut points: 200 at full scale, 64 under `--smoke` (`just crash-smoke`).
 
-use stash_bench::crash::{enumerate_cuts, run_cut, run_cut_traced, run_matrix, SLOTS};
-use stash_bench::{f, header, row, write_trace_artifacts, BenchMeter};
+use crate::crash::{enumerate_cuts, run_cut, run_cut_traced, run_matrix, SLOTS};
+use crate::{f, outln, write_trace_artifacts, Run};
 use stash_flash::OpKind;
 use stash_obs::Tracer;
 use stash_svm::{Dataset, Kernel, StandardScaler, Svm, SvmParams};
@@ -35,14 +35,6 @@ const SEED: u64 = 0xC0FFEE;
 const SVM_SEEDS: [u64; 6] = [101, 102, 103, 104, 105, 106];
 /// Seeds held out of SVM training and used only for accuracy.
 const SVM_TEST_SEEDS: usize = 2;
-
-fn target() -> usize {
-    std::env::var("STASH_CRASH_TARGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 16)
-        .unwrap_or(200)
-}
 
 /// Trains crash-vs-baseline and baseline-vs-baseline linear SVMs on slot
 /// page voltage histograms; returns (crash_acc, control_acc) on held-out
@@ -86,10 +78,9 @@ fn svm_detectability() -> (f64, f64) {
     (crash_acc, control_acc)
 }
 
-fn main() {
-    let mut meter = BenchMeter::start("crashpoints");
-    let target = target();
-    header(
+pub fn run(r: &mut Run) {
+    let target = r.scale.crash_target();
+    r.header(
         "Crash-point matrix: power-loss atomicity over the golden workload",
         &format!(
             "{SLOTS} hidden slots; one power cut per run; target {target} cut points \
@@ -103,8 +94,10 @@ fn main() {
     let runs = run_matrix(SEED, &cuts, stash_par::thread_count());
 
     // Aggregate by cut shape.
-    row(["cut_kind", "cuts", "torn_pages", "tag_failures", "reencoded", "violations"]
-        .map(String::from));
+    r.row(
+        ["cut_kind", "cuts", "torn_pages", "tag_failures", "reencoded", "violations"]
+            .map(String::from),
+    );
     let mut json_kinds = String::new();
     let mut violations_total = 0usize;
     let (mut torn_total, mut tag_total, mut reenc_total) = (0u64, 0usize, 0usize);
@@ -128,12 +121,13 @@ fn main() {
             }),
         ),
     ] {
-        let group: Vec<_> = runs.iter().filter(|r| r.cut.as_ref().is_some_and(&select)).collect();
-        let torn: u64 = group.iter().map(|r| r.mount.torn_pages).sum();
-        let tags: usize = group.iter().map(|r| r.recovery.tag_failures).sum();
-        let reenc: usize = group.iter().map(|r| r.recovery.reconstructed).sum();
-        let viol: usize = group.iter().map(|r| r.violations.len()).sum();
-        row([
+        let group: Vec<_> =
+            runs.iter().filter(|run| run.cut.as_ref().is_some_and(&select)).collect();
+        let torn: u64 = group.iter().map(|run| run.mount.torn_pages).sum();
+        let tags: usize = group.iter().map(|run| run.recovery.tag_failures).sum();
+        let reenc: usize = group.iter().map(|run| run.recovery.reconstructed).sum();
+        let viol: usize = group.iter().map(|run| run.violations.len()).sum();
+        r.row([
             label.to_string(),
             group.len().to_string(),
             torn.to_string(),
@@ -151,14 +145,14 @@ fn main() {
             group.len(),
         );
     }
-    for r in &runs {
-        violations_total += r.violations.len();
-        torn_total += r.mount.torn_pages;
-        tag_total += r.recovery.tag_failures;
-        reenc_total += r.recovery.reconstructed;
-        replayed_total += r.mount.live_pages;
-        device_us_total += r.remount_device_us;
-        wall_us_total += r.remount_wall_us;
+    for run in &runs {
+        violations_total += run.violations.len();
+        torn_total += run.mount.torn_pages;
+        tag_total += run.recovery.tag_failures;
+        reenc_total += run.recovery.reconstructed;
+        replayed_total += run.mount.live_pages;
+        device_us_total += run.remount_device_us;
+        wall_us_total += run.remount_wall_us;
     }
     assert_eq!(violations_total, 0, "crash matrix found invariant violations");
     assert!(torn_total > 0, "matrix never tore a public page");
@@ -166,8 +160,9 @@ fn main() {
 
     // Detectability: does recovery leave a forensic tell?
     let (crash_acc, control_acc) = svm_detectability();
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# SVM on recovered hidden-bearing pages: crash-vs-baseline {:.1}%, \
          control (baseline-vs-baseline) {:.1}%",
         crash_acc * 100.0,
@@ -192,15 +187,15 @@ fn main() {
     };
 
     let n = runs.len() as f64;
-    meter.record_wall("mean_remount_wall_us", (wall_us_total / n * 10.0).round() / 10.0);
-    meter.record("cut_points", runs.len() as f64);
-    meter.record("violations", violations_total as f64);
-    meter.record("torn_pages", torn_total as f64);
-    meter.record("tag_failures", tag_total as f64);
-    meter.record("hidden_reencoded", reenc_total as f64);
-    meter.record("journal_replayed", replayed_total as f64);
-    meter.record("mean_remount_device_us", (device_us_total / n * 1e3).round() / 1e3);
-    meter.record_json(
+    r.meter.record_wall("mean_remount_wall_us", (wall_us_total / n * 10.0).round() / 10.0);
+    r.meter.record("cut_points", runs.len() as f64);
+    r.meter.record("violations", violations_total as f64);
+    r.meter.record("torn_pages", torn_total as f64);
+    r.meter.record("tag_failures", tag_total as f64);
+    r.meter.record("hidden_reencoded", reenc_total as f64);
+    r.meter.record("journal_replayed", replayed_total as f64);
+    r.meter.record("mean_remount_device_us", (device_us_total / n * 1e3).round() / 1e3);
+    r.meter.record_json(
         "svm",
         &format!("{{\"crash_accuracy\": {crash_acc}, \"control_accuracy\": {control_acc}}}"),
     );
@@ -217,22 +212,24 @@ fn main() {
         counter("remount_tag_failures"),
         traced.remount_device_us,
     );
-    meter.record_json("traced_run", &traced_run);
-    meter.record_json("by_kind", &format!("[\n{json_kinds}\n    ]"));
-    meter.finish();
+    r.meter.record_json("traced_run", &traced_run);
+    r.meter.record_json("by_kind", &format!("[\n{json_kinds}\n    ]"));
 
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "ok: {} cut points, zero invariant violations ({} torn pages, {} torn embeds recovered)",
         runs.len(),
         torn_total,
         tag_total
     );
-    println!("# machine-readable series: results/BENCH_crashpoints.json");
-    println!(
+    outln!(r, "# machine-readable series: results/BENCH_crashpoints.json");
+    outln!(
+        r,
         "# trace artifacts: results/TRACE_crashpoints.jsonl, results/TRACE_crashpoints.folded"
     );
-    println!(
+    outln!(
+        r,
         "# detectability: crash {}%, control {}%",
         f(crash_acc * 100.0, 1),
         f(control_acc * 100.0, 1)

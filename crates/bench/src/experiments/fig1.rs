@@ -4,7 +4,7 @@
 //! distributions and a narrowed four-level MLC-style rendering, so the
 //! repository regenerates *every* figure from executable code.
 
-use stash_bench::{f, header, row, BenchMeter};
+use crate::{f, outln, Run};
 use stash_flash::latent::inverse_normal_cdf;
 
 /// Renders a gaussian mixture as a 256-level percentage histogram.
@@ -19,9 +19,8 @@ fn mixture(components: &[(f64, f64, f64)]) -> Vec<f64> {
     out.iter().map(|v| v * 100.0).collect()
 }
 
-fn main() {
-    let mut meter = BenchMeter::start("fig1");
-    header(
+pub fn run(r: &mut Run) {
+    r.header(
         "Figure 1: SLC vs MLC voltage-level distributions (illustrative)",
         "rendered from the calibrated simulator parameters; erased lobes clipped at 0",
     );
@@ -35,23 +34,24 @@ fn main() {
     let mlc =
         mixture(&[(0.25, -1.8, 9.0), (0.25, 85.0, 6.0), (0.25, 145.0, 6.0), (0.25, 200.0, 6.0)]);
 
-    row(["level", "slc_pct", "mlc_pct"].map(String::from));
+    r.row(["level", "slc_pct", "mlc_pct"].map(String::from));
     for level in 0..=255usize {
-        row([level.to_string(), f(slc[level], 4), f(mlc[level], 4)]);
+        r.row([level.to_string(), f(slc[level], 4), f(mlc[level], 4)]);
     }
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# note: SLC stores 1 bit across 2 wide lobes; MLC stores 2 bits across 4 \
          narrow lobes"
     );
-    println!(
+    outln!(
+        r,
         "# sanity: z-score of SLC read reference inside programmed lobe: {:.1} sigma",
         (165.0 - 127.0) / 9.0
     );
     let _ = inverse_normal_cdf(0.5); // keep the latent module linked in
 
-    meter.record("slc_pct_sum", (slc.iter().sum::<f64>() * 1e4).round() / 1e4);
-    meter.record("mlc_pct_sum", (mlc.iter().sum::<f64>() * 1e4).round() / 1e4);
-    meter.record("slc_read_ref_z_sigma", (165.0 - 127.0) / 9.0);
-    meter.finish();
+    r.meter.record("slc_pct_sum", (slc.iter().sum::<f64>() * 1e4).round() / 1e4);
+    r.meter.record("mlc_pct_sum", (mlc.iter().sum::<f64>() * 1e4).round() / 1e4);
+    r.meter.record("slc_read_ref_z_sigma", (165.0 - 127.0) / 9.0);
 }

@@ -6,11 +6,10 @@
 //! within a few hundred cycles of each other, rising toward 90–100% as the
 //! wear mismatch grows — i.e. the SVM detects *wear*, never *hiding*.
 //!
-//! Runtime: a few minutes at the paper's 31 blocks per class; set
-//! `STASH_BLOCKS=10` for a quick pass.
+//! Runtime: a few minutes at the paper's 31 blocks per class.
 
-use stash_bench::detect::{blocks_per_class, prepare_features, train_two_test_one};
-use stash_bench::{experiment_key, f, header, row, BenchMeter};
+use crate::detect::{prepare_features, train_two_test_one, BLOCKS_PER_CLASS};
+use crate::{experiment_key, f, outln, Run};
 use stash_flash::ChipProfile;
 use std::collections::HashMap;
 use vthi::{EccChoice, VthiConfig};
@@ -26,15 +25,14 @@ fn feature_seed(pec: u32, hidden: bool, chip_idx: usize) -> u64 {
     10_000_000 + u64::from(pec) * 10_000 + u64::from(hidden) * 1_000 + chip_idx as u64 * 100
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("fig10");
+pub fn run(r: &mut Run) {
     let profile = ChipProfile::vendor_a_scaled();
     let key = experiment_key();
     let mut cfg = VthiConfig::scaled_for(&profile.geometry);
     cfg.ecc = EccChoice::None;
-    let blocks = blocks_per_class();
+    let blocks = BLOCKS_PER_CLASS;
 
-    header(
+    r.header(
         "Figure 10: SVM accuracy vs normal PEC, per hidden-data PEC",
         &format!(
             "{blocks} blocks/class/chip, 3 chips (train 2, test 1), grid search + 3-fold CV; \
@@ -67,7 +65,7 @@ fn main() {
 
     let mut head = vec!["normal_pec".to_owned()];
     head.extend(HIDDEN_PECS.iter().map(|p| format!("hidden_pec_{p}")));
-    row(head);
+    r.row(head);
 
     for &normal_pec in &NORMAL_PECS {
         let normal = features(normal_pec, false);
@@ -77,13 +75,12 @@ fn main() {
             let (acc, _cv) = train_two_test_one(&normal, &hidden);
             cells.push(f(acc * 100.0, 1));
         }
-        row(cells);
+        r.row(cells);
     }
 
-    println!();
-    println!("# paper: ~50% at matched PEC; accuracy rises with |normal - hidden| wear gap");
+    outln!(r);
+    outln!(r, "# paper: ~50% at matched PEC; accuracy rises with |normal - hidden| wear gap");
 
-    bench.record("blocks_per_class", f64::from(blocks));
-    bench.record("grid_points", (NORMAL_PECS.len() * HIDDEN_PECS.len()) as f64);
-    bench.finish();
+    r.meter.record("blocks_per_class", f64::from(blocks));
+    r.meter.record("grid_points", (NORMAL_PECS.len() * HIDDEN_PECS.len()) as f64);
 }

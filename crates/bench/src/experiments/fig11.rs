@@ -10,9 +10,9 @@
 //! with an RNG derived from its PEC — one `stash-par` work item per level,
 //! byte-identical TSV for any `STASH_THREADS`.
 
-use stash_bench::{
-    experiment_key, f, fill_block_hiding, header, measure_hidden_ber, measure_public_ber,
-    raw_paper_config, rng, row, short_block_geometry, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block_hiding, measure_hidden_ber, measure_public_ber, outln,
+    raw_paper_config, rng, short_block_geometry, Run,
 };
 use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot};
 
@@ -30,22 +30,22 @@ struct Line {
     device: MeterSnapshot,
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("fig11");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
     let cfg = raw_paper_config(256, 1);
 
     let lines = stash_par::par_map(PECS.to_vec(), |i, pec| {
         // One chip per wear level so aging clocks stay independent.
         let mut chip = Chip::new(profile.clone(), 5000 + i as u64);
-        let mut r = rng(11000 + u64::from(pec));
+        let mut rng = rng(11000 + u64::from(pec));
         let mut stored = Vec::new();
         for b in 0..BLOCKS {
             let block = BlockId(b);
             chip.cycle_block(block, pec).expect("cycle");
-            let (publics, reports) = fill_block_hiding(&mut chip, block, &key, &cfg, &mut r, false);
+            let (publics, reports) =
+                fill_block_hiding(&mut chip, block, &key, &cfg, &mut rng, false);
             stored.push((block, publics, reports));
         }
 
@@ -83,11 +83,11 @@ fn main() {
         line
     });
 
-    header(
+    r.header(
         "Figure 11: normalized retention BER (vs zero time)",
         &format!("{BLOCKS} blocks per wear level; 256 hidden bits/page; 18048-byte pages"),
     );
-    row(["period", "kind", "PEC0", "PEC1000", "PEC2000"].map(String::from));
+    r.row(["period", "kind", "PEC0", "PEC1000", "PEC2000"].map(String::from));
     let labels = ["1day", "1month", "4month"];
     for (ci, label) in labels.iter().enumerate() {
         for kind in ["vthi", "normal"] {
@@ -100,25 +100,29 @@ fn main() {
                 };
                 cells.push(if t0 > 0.0 { f(t / t0, 2) } else { "n/a".into() });
             }
-            row(cells);
+            r.row(cells);
         }
     }
 
-    println!();
+    outln!(r);
     for line in &lines {
-        println!(
+        outln!(
+            r,
             "# PEC {:>4}: hidden BER {:.4} -> {:.4} after 4 months; normal {:.2e} -> {:.2e}",
-            line.pec, line.hidden_t0, line.hidden[2], line.public_t0, line.public[2]
+            line.pec,
+            line.hidden_t0,
+            line.hidden[2],
+            line.public_t0,
+            line.public[2]
         );
     }
-    println!("# paper anchors: hidden x6.3 and normal x2.3 at PEC 2000 / 4 months;");
-    println!("# both ~flat at PEC 0");
+    outln!(r, "# paper anchors: hidden x6.3 and normal x2.3 at PEC 2000 / 4 months;");
+    outln!(r, "# both ~flat at PEC 0");
 
     let mut device = MeterSnapshot::default();
     for line in &lines {
         device.absorb(&line.device);
     }
-    bench.record("wear_levels", lines.len() as f64);
-    bench.record_snapshot(&device);
-    bench.finish();
+    r.meter.record("wear_levels", lines.len() as f64);
+    r.meter.record_snapshot(&device);
 }

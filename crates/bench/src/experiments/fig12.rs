@@ -14,8 +14,8 @@
 //! arithmetic itself (2% BER → 14% ECC → 2197 bits/page) is reproduced
 //! analytically by `table1`.
 
-use stash_bench::detect::{blocks_per_class, prepare_features, train_two_test_one};
-use stash_bench::{experiment_key, f, fill_block, header, rng, row, BenchMeter};
+use crate::detect::{prepare_features, train_two_test_one, BLOCKS_PER_CLASS};
+use crate::{experiment_key, f, fill_block, outln, rng, Run};
 use stash_flash::{BlockId, Chip, ChipProfile, PageId};
 use std::collections::HashMap;
 use vthi::capacity::PageCapacity;
@@ -31,8 +31,8 @@ const VTH_ENHANCED: u8 = 15;
 /// population, stay under the occupancy budget.
 fn planner_budget(profile: &ChipProfile) -> usize {
     let mut chip = Chip::new(profile.clone(), 999);
-    let mut r = rng(991);
-    let publics = fill_block(&mut chip, BlockId(0), &mut r);
+    let mut rng = rng(991);
+    let publics = fill_block(&mut chip, BlockId(0), &mut rng);
     let mut budget = usize::MAX;
     for p in [4u32, 12, 20] {
         let cap = PageCapacity::assess(
@@ -56,8 +56,7 @@ fn feature_seed(pec: u32, hidden: bool, chip_idx: usize) -> u64 {
     12_000_000 + u64::from(pec) * 10_000 + u64::from(hidden) * 1_000 + chip_idx as u64 * 100
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("fig12");
+pub fn run(r: &mut Run) {
     let profile = ChipProfile::vendor_a_scaled();
     let key = experiment_key();
     let base = VthiConfig::scaled_for(&profile.geometry);
@@ -69,9 +68,9 @@ fn main() {
     cfg.max_pp_steps = 1;
     cfg.use_fine_pp = true;
     cfg.ecc = EccChoice::None;
-    let blocks = blocks_per_class();
+    let blocks = BLOCKS_PER_CLASS;
 
-    header(
+    r.header(
         "Figure 12: SVM accuracy vs the enhanced (high-capacity) configuration",
         &format!(
             "{blocks} blocks/class/chip; Vth={VTH_ENHANCED}, fine PP, {} hidden bits/page \
@@ -103,7 +102,7 @@ fn main() {
 
     let mut head = vec!["normal_pec".to_owned()];
     head.extend(HIDDEN_PECS.iter().map(|p| format!("hidden_pec_{p}")));
-    row(head);
+    r.row(head);
 
     for &normal_pec in &NORMAL_PECS {
         let normal = features(normal_pec, false);
@@ -113,22 +112,22 @@ fn main() {
             let (acc, _cv) = train_two_test_one(&normal, &hidden);
             cells.push(f(acc * 100.0, 1));
         }
-        row(cells);
+        r.row(cells);
     }
 
-    println!();
-    println!("# paper: matched-wear accuracy 50-60% (slightly above Fig. 10's 50-53%),");
-    println!("# still dominated by the wear gap rather than the hidden data");
+    outln!(r);
+    outln!(r, "# paper: matched-wear accuracy 50-60% (slightly above Fig. 10's 50-53%),");
+    outln!(r, "# still dominated by the wear gap rather than the hidden data");
 
     // Part B: where is the stealth/capacity frontier in THIS simulator?
     // Matched wear (PEC 1000 vs 1000), density multipliers over the scaled
     // default, fine PP at Vth 15 — the adversary's accuracy per density.
-    println!();
-    header(
+    outln!(r);
+    r.header(
         "Part B: matched-wear detectability vs hidden density (Vth=15, fine PP)",
         "multiplier is over the scaled default density (0.18% of cells)",
     );
-    row(["multiplier", "hidden_bits_per_page", "svm_accuracy_pct"].map(String::from));
+    r.row(["multiplier", "hidden_bits_per_page", "svm_accuracy_pct"].map(String::from));
     let normal = features(1000, false);
     for mult in [1usize, 2, 4] {
         let mut dcfg = base.clone();
@@ -149,15 +148,14 @@ fn main() {
         };
         let hidden = [mk(0), mk(1), mk(2)];
         let (acc, _) = train_two_test_one(&normal, &hidden);
-        row([format!("{mult}x"), dcfg.hidden_bits_per_page.to_string(), f(acc * 100.0, 1)]);
+        r.row([format!("{mult}x"), dcfg.hidden_bits_per_page.to_string(), f(acc * 100.0, 1)]);
     }
-    println!();
-    println!("# simulator-vs-silicon note: our calibrated natural variability at low");
-    println!("# thresholds is thinner than the paper's chips exhibited, so high-capacity");
-    println!("# hiding is easier to detect here; at the default density the Vth=15 path");
-    println!("# approaches the Fig. 10 coin-flip regime.");
+    outln!(r);
+    outln!(r, "# simulator-vs-silicon note: our calibrated natural variability at low");
+    outln!(r, "# thresholds is thinner than the paper's chips exhibited, so high-capacity");
+    outln!(r, "# hiding is easier to detect here; at the default density the Vth=15 path");
+    outln!(r, "# approaches the Fig. 10 coin-flip regime.");
 
-    bench.record("blocks_per_class", f64::from(blocks));
-    bench.record("planner_budget_bits", budget as f64);
-    bench.finish();
+    r.meter.record("blocks_per_class", f64::from(blocks));
+    r.meter.record("planner_budget_bits", budget as f64);
 }

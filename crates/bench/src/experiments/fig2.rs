@@ -5,24 +5,21 @@
 //! (a) block/erased over levels 10–70, (b) block/programmed over 120–210,
 //! (c) page/erased, (d) page/programmed. Columns: level, sample1..sample4.
 
-use stash_bench::{
-    block_histograms, f, fill_block, header, rng, row, short_block_geometry, BenchMeter,
-};
+use crate::{block_histograms, fill_block, outln, rng, short_block_geometry, Run};
 use stash_flash::{BlockId, Chip, ChipProfile, Histogram, PageId};
 
-fn main() {
-    let mut meter = BenchMeter::start("fig2");
+pub fn run(r: &mut Run) {
     let mut block_erased = Vec::new();
     let mut block_programmed = Vec::new();
     let mut page_erased = Vec::new();
     let mut page_programmed = Vec::new();
 
-    let mut r = rng(42);
+    let mut rng = rng(42);
     for sample in 0..4u64 {
         let mut profile = ChipProfile::vendor_a();
-        profile.geometry = short_block_geometry();
+        profile.geometry = short_block_geometry(r.scale);
         let mut chip = Chip::new(profile, 100 + sample);
-        let publics = fill_block(&mut chip, BlockId(0), &mut r);
+        let publics = fill_block(&mut chip, BlockId(0), &mut rng);
         let (erased, programmed) = block_histograms(&mut chip, BlockId(0), &publics);
         block_erased.push(erased);
         block_programmed.push(programmed);
@@ -43,25 +40,21 @@ fn main() {
         page_programmed.push(pp);
     }
 
-    let dump = |title: &str, lo: u8, hi: u8, hists: &[Histogram]| {
-        header(title, "level\tsample1\tsample2\tsample3\tsample4 (% of cells)");
-        for level in lo..=hi {
-            let mut cells = vec![level.to_string()];
-            cells.extend(hists.iter().map(|h| f(h.pct(level), 4)));
-            row(cells);
-        }
-        println!();
-    };
-
-    header(
+    r.header(
         "Figure 2: voltage distributions of four samples of the same chip model",
         "geometry: 18048-byte pages, 16-page blocks; pseudorandom data at PEC 1",
     );
-    println!();
-    dump("(a) block level, erased cells", 10, 70, &block_erased);
-    dump("(b) block level, programmed cells", 120, 210, &block_programmed);
-    dump("(c) page level, erased cells", 10, 70, &page_erased);
-    dump("(d) page level, programmed cells", 120, 210, &page_programmed);
+    outln!(r);
+    for (title, lo, hi, hists) in [
+        ("(a) block level, erased cells", 10, 70, &block_erased),
+        ("(b) block level, programmed cells", 120, 210, &block_programmed),
+        ("(c) page level, erased cells", 10, 70, &page_erased),
+        ("(d) page level, programmed cells", 120, 210, &page_programmed),
+    ] {
+        r.header(title, "level\tsample1\tsample2\tsample3\tsample4 (% of cells)");
+        r.level_rows(lo, hi, hists);
+        outln!(r);
+    }
 
     // Sanity line mirroring §4: 99.99% of cells within the stated ranges.
     let in_range: f64 = block_erased
@@ -70,8 +63,7 @@ fn main() {
         .chain(block_programmed.iter().map(|h| h.fraction_in(120, 210)))
         .sum::<f64>()
         / 8.0;
-    println!("# mean fraction inside paper ranges [0,70]/[120,210]: {:.5}", in_range);
-    meter.record("mean_fraction_in_paper_ranges", (in_range * 1e5).round() / 1e5);
-    meter.record("samples", 4.0);
-    meter.finish();
+    outln!(r, "# mean fraction inside paper ranges [0,70]/[120,210]: {:.5}", in_range);
+    r.meter.record("mean_fraction_in_paper_ranges", (in_range * 1e5).round() / 1e5);
+    r.meter.record("samples", 4.0);
 }

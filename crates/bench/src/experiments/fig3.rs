@@ -5,17 +5,14 @@
 //! Output: two TSV sections — (a) erased cells over levels 10–70,
 //! (b) programmed cells over 120–210. Columns: level, PEC0..PEC3000.
 
-use stash_bench::{
-    block_histograms, f, fill_block, header, rng, row, short_block_geometry, BenchMeter,
-};
+use crate::{block_histograms, fill_block, outln, rng, short_block_geometry, Run};
 use stash_flash::{BlockId, Chip, ChipProfile, Histogram};
 
-fn main() {
-    let mut meter = BenchMeter::start("fig3");
+pub fn run(r: &mut Run) {
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
     let mut chip = Chip::new(profile, 7);
-    let mut r = rng(3);
+    let mut rng = rng(3);
 
     let pecs = [0u32, 1000, 2000, 3000];
     let mut erased_h: Vec<Histogram> = Vec::new();
@@ -24,33 +21,28 @@ fn main() {
     for &pec in &pecs {
         chip.cycle_block(BlockId(0), pec - last).expect("cycle");
         last = pec;
-        let publics = fill_block(&mut chip, BlockId(0), &mut r);
+        let publics = fill_block(&mut chip, BlockId(0), &mut rng);
         let (e, p) = block_histograms(&mut chip, BlockId(0), &publics);
         erased_h.push(e);
         programmed_h.push(p);
     }
 
-    header(
+    r.header(
         "Figure 3: distributions shift right with wear (same physical block)",
         "geometry: 18048-byte pages, 16-page blocks",
     );
-    println!();
-    let dump = |title: &str, lo: u8, hi: u8, hists: &[Histogram]| {
-        header(title, "level\tPEC0\tPEC1000\tPEC2000\tPEC3000 (% of cells)");
-        for level in lo..=hi {
-            let mut cells = vec![level.to_string()];
-            cells.extend(hists.iter().map(|h| f(h.pct(level), 4)));
-            row(cells);
-        }
-        println!();
-    };
-    dump("(a) erased cells", 10, 70, &erased_h);
-    dump("(b) programmed cells", 120, 210, &programmed_h);
-
-    println!("# programmed-state means by PEC (paper: monotone rightward shift):");
-    for (h, pec) in programmed_h.iter().zip(pecs) {
-        println!("#   PEC {:>4}: mean level {:.2}", pec, h.mean());
-        meter.record(&format!("programmed_mean_pec{pec}"), (h.mean() * 100.0).round() / 100.0);
+    outln!(r);
+    for (title, lo, hi, hists) in
+        [("(a) erased cells", 10, 70, &erased_h), ("(b) programmed cells", 120, 210, &programmed_h)]
+    {
+        r.header(title, "level\tPEC0\tPEC1000\tPEC2000\tPEC3000 (% of cells)");
+        r.level_rows(lo, hi, hists);
+        outln!(r);
     }
-    meter.finish();
+
+    outln!(r, "# programmed-state means by PEC (paper: monotone rightward shift):");
+    for (h, pec) in programmed_h.iter().zip(pecs) {
+        outln!(r, "#   PEC {:>4}: mean level {:.2}", pec, h.mean());
+        r.meter.record(&format!("programmed_mean_pec{pec}"), (h.mean() * 100.0).round() / 100.0);
+    }
 }

@@ -6,55 +6,55 @@
 //! Output: TSV of level vs % of erased cells, before and after hiding,
 //! plus the region boundaries.
 
-use stash_bench::{
-    block_histograms, experiment_key, f, fill_block, fill_block_hiding, header, raw_paper_config,
-    rng, row, short_block_geometry, BenchMeter,
+use crate::{
+    block_histograms, experiment_key, f, fill_block, fill_block_hiding, outln, raw_paper_config,
+    rng, short_block_geometry, Run,
 };
 use stash_flash::{BlockId, Chip, ChipProfile};
 
-fn main() {
-    let mut meter = BenchMeter::start("fig5");
+pub fn run(r: &mut Run) {
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
     let key = experiment_key();
     let cfg = raw_paper_config(256, 1);
 
     // Normal block.
     let mut chip = Chip::new(profile.clone(), 21);
-    let mut r = rng(5);
-    let publics = fill_block(&mut chip, BlockId(0), &mut r);
+    let mut rng = rng(5);
+    let publics = fill_block(&mut chip, BlockId(0), &mut rng);
     let (normal, _) = block_histograms(&mut chip, BlockId(0), &publics);
 
     // Block with hidden data.
     let mut chip2 = Chip::new(profile, 21);
-    let (publics2, _) = fill_block_hiding(&mut chip2, BlockId(0), &key, &cfg, &mut r, false);
+    let (publics2, _) = fill_block_hiding(&mut chip2, BlockId(0), &key, &cfg, &mut rng, false);
     let (hidden, _) = block_histograms(&mut chip2, BlockId(0), &publics2);
 
-    header(
+    r.header(
         "Figure 5: VT-HI hides data inside the non-programmed distribution",
         &format!("Vth = {} | below: hidden '1' | [Vth, ~70]: hidden '0'", cfg.vth),
     );
-    row(["level", "normal_pct", "with_hidden_pct", "region"].map(String::from));
+    r.row(["level", "normal_pct", "with_hidden_pct", "region"].map(String::from));
     for level in 1u8..=75 {
         let region = if level < cfg.vth { "hidden-1" } else { "hidden-0" };
-        row([
+        r.row([
             level.to_string(),
             f(normal.pct(level), 4),
             f(hidden.pct(level), 4),
             region.to_string(),
         ]);
     }
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# erased cells naturally at/above Vth: {:.3}% (paper: ~1%, ≥700 of 72k per page)",
         normal.fraction_at_or_above(cfg.vth) * 100.0
     );
-    println!(
+    outln!(
+        r,
         "# erased cells at/above Vth after hiding 256 bits/page: {:.3}%",
         hidden.fraction_at_or_above(cfg.vth) * 100.0
     );
     let pct = |v: f64| (v * 100.0 * 1e3).round() / 1e3;
-    meter.record("natural_above_vth_pct", pct(normal.fraction_at_or_above(cfg.vth)));
-    meter.record("hidden_above_vth_pct", pct(hidden.fraction_at_or_above(cfg.vth)));
-    meter.finish();
+    r.meter.record("natural_above_vth_pct", pct(normal.fraction_at_or_above(cfg.vth)));
+    r.meter.record("hidden_above_vth_pct", pct(hidden.fraction_at_or_above(cfg.vth)));
 }

@@ -14,9 +14,9 @@
 //! Output: TSV with one column per `interval+bits` combination, one row per
 //! PP step.
 
-use stash_bench::{
-    experiment_key, f, fill_block_hiding_traced, header, raw_paper_config, rng, row,
-    short_block_geometry, write_trace_artifacts, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block_hiding_traced, outln, raw_paper_config, rng,
+    short_block_geometry, write_trace_artifacts, Run,
 };
 use stash_flash::{
     BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot, NandDevice, TraceDevice,
@@ -28,13 +28,12 @@ const BLOCKS: u32 = 5;
 const INTERVALS: [u32; 4] = [0, 1, 2, 4];
 const BITS: [usize; 3] = [32, 128, 512];
 
-fn main() {
-    let mut bench = BenchMeter::start("fig6");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
 
-    header(
+    r.header(
         "Figure 6: hidden BER vs partial-program steps",
         &format!(
             "combinations: intervals {INTERVALS:?} x hidden bits {BITS:?}; \
@@ -52,7 +51,7 @@ fn main() {
         let mut cfg = raw_paper_config(bits, interval);
         cfg.max_pp_steps = STEPS;
         let mut acc = vec![BitErrorStats::default(); STEPS as usize];
-        let mut r = rng(6000 + u64::from(interval) * 10 + bits as u64);
+        let mut rng = rng(6000 + u64::from(interval) * 10 + bits as u64);
         let tracer = (ci == 0).then(Tracer::shared);
 
         let mut chip = TraceDevice::new(Chip::new(
@@ -70,7 +69,7 @@ fn main() {
                     BlockId(b),
                     &key,
                     &cfg,
-                    &mut r,
+                    &mut rng,
                     true,
                     tracer.clone(),
                 );
@@ -98,18 +97,19 @@ fn main() {
 
     let mut head = vec!["pp_step".to_owned()];
     head.extend(results.iter().map(|(label, _, _)| label.clone()));
-    row(head);
+    r.row(head);
     for s in 0..STEPS as usize {
         let mut cells = vec![(s + 1).to_string()];
         cells.extend(results.iter().map(|(_, acc, _)| f(acc[s].ber(), 5)));
-        row(cells);
+        r.row(cells);
     }
 
-    println!();
-    println!("# paper: BER converges to <1% after ~10 steps for all combinations");
+    outln!(r);
+    outln!(r, "# paper: BER converges to <1% after ~10 steps for all combinations");
     let converged = results.iter().filter(|(_, acc, _)| acc[9].ber() < 0.01).count();
-    println!("# measured: {}/{} combinations below 1% at step 10", converged, results.len());
-    println!(
+    outln!(r, "# measured: {}/{} combinations below 1% at step 10", converged, results.len());
+    outln!(
+        r,
         "# trace artifacts (combination 0): results/TRACE_fig6.jsonl, results/TRACE_fig6.folded"
     );
 
@@ -117,8 +117,7 @@ fn main() {
     for (_, _, meter) in &results {
         device.absorb(meter);
     }
-    bench.record("combinations", results.len() as f64);
-    bench.record("converged_at_step10", converged as f64);
-    bench.record_snapshot(&device);
-    bench.finish();
+    r.meter.record("combinations", results.len() as f64);
+    r.meter.record("converged_at_step10", converged as f64);
+    r.meter.record_snapshot(&device);
 }

@@ -9,9 +9,9 @@
 //! chip and RNG derived from the pair — byte-identical TSV for any
 //! `STASH_THREADS`.
 
-use stash_bench::{
-    experiment_key, f, fill_block_hiding, header, measure_hidden_ber, raw_paper_config, rng, row,
-    short_block_geometry, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, rng,
+    short_block_geometry, Run,
 };
 use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot};
 
@@ -19,28 +19,27 @@ const BLOCKS: u32 = 5;
 const INTERVALS: [u32; 4] = [0, 1, 2, 4];
 const BITS: [usize; 3] = [32, 128, 512];
 
-fn main() {
-    let mut bench = BenchMeter::start("fig7");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
 
-    header(
+    r.header(
         "Figure 7: hidden BER at 10 PP steps vs page interval",
         &format!("{BLOCKS} blocks per point; 18048-byte pages"),
     );
-    row(["page_interval", "bits32", "bits128", "bits512"].map(String::from));
+    r.row(["page_interval", "bits32", "bits128", "bits512"].map(String::from));
 
     let points: Vec<(u32, usize)> =
         INTERVALS.iter().flat_map(|&i| BITS.iter().map(move |&b| (i, b))).collect();
     let results = stash_par::par_map(points, |_, (interval, bits)| {
         let cfg = raw_paper_config(bits, interval);
         let mut chip = Chip::new(profile.clone(), 2000 + u64::from(interval) * 10 + bits as u64);
-        let mut r = rng(7000 + u64::from(interval) * 10 + bits as u64);
+        let mut rng = rng(7000 + u64::from(interval) * 10 + bits as u64);
         let mut total = BitErrorStats::default();
         for b in 0..BLOCKS {
             let (_publics, reports) =
-                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             total.absorb(measure_hidden_ber(&mut chip, &key, &cfg, &reports));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
@@ -52,16 +51,15 @@ fn main() {
         cells.extend(
             results[ii * BITS.len()..(ii + 1) * BITS.len()].iter().map(|(t, _)| f(t.ber(), 5)),
         );
-        row(cells);
+        r.row(cells);
     }
-    println!();
-    println!("# paper band: 0.004-0.010 with irregular variation across intervals");
+    outln!(r);
+    outln!(r, "# paper band: 0.004-0.010 with irregular variation across intervals");
 
     let mut device = MeterSnapshot::default();
     for (_, meter) in &results {
         device.absorb(meter);
     }
-    bench.record("points", results.len() as f64);
-    bench.record_snapshot(&device);
-    bench.finish();
+    r.meter.record("points", results.len() as f64);
+    r.meter.record_snapshot(&device);
 }

@@ -3,9 +3,9 @@
 //! block. Hiding more bits shifts a (tiny) bit more mass to the right of
 //! `Vth`; the shift stays inside natural variability.
 
-use stash_bench::{
-    block_histograms, experiment_key, f, fill_block, fill_block_hiding, header, raw_paper_config,
-    rng, row, short_block_geometry, BenchMeter,
+use crate::{
+    block_histograms, experiment_key, f, fill_block, fill_block_hiding, outln, raw_paper_config,
+    rng, short_block_geometry, Run,
 };
 use stash_flash::{BlockId, Chip, ChipProfile, Histogram};
 use std::fmt::Write as _;
@@ -13,19 +13,18 @@ use std::fmt::Write as _;
 const BLOCKS: u32 = 3;
 const BITS: [usize; 4] = [32, 64, 128, 256];
 
-fn main() {
-    let mut meter = BenchMeter::start("fig8");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
-    let mut r = rng(8);
+    profile.geometry = short_block_geometry(r.scale);
+    let mut rng = rng(8);
 
     // Normal baseline.
     let mut normal = Histogram::new();
     {
         let mut chip = Chip::new(profile.clone(), 3000);
         for b in 0..BLOCKS {
-            let publics = fill_block(&mut chip, BlockId(b), &mut r);
+            let publics = fill_block(&mut chip, BlockId(b), &mut rng);
             let (e, _) = block_histograms(&mut chip, BlockId(b), &publics);
             normal.merge(&e);
             chip.discard_block_state(BlockId(b)).expect("discard");
@@ -39,7 +38,8 @@ fn main() {
         let mut chip = Chip::new(profile.clone(), 3000);
         let mut h = Histogram::new();
         for b in 0..BLOCKS {
-            let (publics, _) = fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+            let (publics, _) =
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             let (e, _) = block_histograms(&mut chip, BlockId(b), &publics);
             h.merge(&e);
             chip.discard_block_state(BlockId(b)).expect("discard");
@@ -47,23 +47,20 @@ fn main() {
         hidden.push(h);
     }
 
-    header(
+    r.header(
         "Figure 8: average erased-cell distributions after VT-HI",
         "level, normal, then one column per hidden-bit count (% of erased cells)",
     );
-    row(["level", "normal", "bits32", "bits64", "bits128", "bits256"].map(String::from));
-    for level in 1u8..=75 {
-        let mut cells = vec![level.to_string(), f(normal.pct(level), 4)];
-        cells.extend(hidden.iter().map(|h| f(h.pct(level), 4)));
-        row(cells);
-    }
+    r.row(["level", "normal", "bits32", "bits64", "bits128", "bits256"].map(String::from));
+    let columns: Vec<&Histogram> = std::iter::once(&normal).chain(&hidden).collect();
+    r.level_rows(1, 75, &columns);
 
-    println!();
-    println!("# fraction of erased cells at/above Vth=34 (the hiding-induced shift):");
-    println!("#   normal: {:.4}%", normal.fraction_at_or_above(34) * 100.0);
+    outln!(r);
+    outln!(r, "# fraction of erased cells at/above Vth=34 (the hiding-induced shift):");
+    outln!(r, "#   normal: {:.4}%", normal.fraction_at_or_above(34) * 100.0);
     let mut json_rows = String::new();
     for (h, bits) in hidden.iter().zip(BITS) {
-        println!("#   {bits:>3} bits/page: {:.4}%", h.fraction_at_or_above(34) * 100.0);
+        outln!(r, "#   {bits:>3} bits/page: {:.4}%", h.fraction_at_or_above(34) * 100.0);
         if !json_rows.is_empty() {
             json_rows.push_str(",\n");
         }
@@ -73,11 +70,10 @@ fn main() {
             f(h.fraction_at_or_above(34) * 100.0, 4),
         );
     }
-    println!("# paper: 'only a tiny shift to the right', growing with bit count");
-    meter.record(
+    outln!(r, "# paper: 'only a tiny shift to the right', growing with bit count");
+    r.meter.record(
         "normal_above_vth_pct",
         (normal.fraction_at_or_above(34) * 100.0 * 1e4).round() / 1e4,
     );
-    meter.record_json("shift_by_bits", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
+    r.meter.record_json("shift_by_bits", &format!("[\n{json_rows}\n    ]"));
 }

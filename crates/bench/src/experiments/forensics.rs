@@ -8,8 +8,8 @@
 //! consistent lever — the visual of why Fig. 10's diagonal sits at a coin
 //! flip.
 
-use stash_bench::detect::prepare_features;
-use stash_bench::{experiment_key, f, header, row, BenchMeter};
+use crate::detect::prepare_features;
+use crate::{experiment_key, f, outln, Run};
 use stash_flash::ChipProfile;
 use stash_svm::{Dataset, Kernel, StandardScaler, Svm, SvmParams};
 use vthi::{EccChoice, VthiConfig};
@@ -72,9 +72,8 @@ fn top_levels(w: &[f64], k: usize) -> Vec<(usize, f64)> {
     idx.into_iter().take(k).map(|i| (i, w[i])).collect()
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("forensics");
-    header(
+pub fn run(r: &mut Run) {
+    r.header(
         "Forensics: the linear adversary's highest-leverage voltage levels",
         &format!("{BLOCKS} blocks/class/chip, 2 chips, training-set weights"),
     );
@@ -83,13 +82,14 @@ fn main() {
         [("matched wear (hiding only)", 1000u32, 1000u32), ("wear gap (PEC 0 vs 2000)", 0, 2000)]
     {
         let (w, train_acc, test_acc) = weights_for(normal_pec, hidden_pec);
-        println!();
-        println!(
+        outln!(r);
+        outln!(
+            r,
             "# {label}: train accuracy {:.1}%, held-out chip {:.1}%",
             train_acc * 100.0,
             test_acc * 100.0
         );
-        row(["rank", "voltage_level", "weight", "region"].map(String::from));
+        r.row(["rank", "voltage_level", "weight", "region"].map(String::from));
         for (rank, (level, weight)) in top_levels(&w, 10).into_iter().enumerate() {
             let region = match level {
                 0 => "measurement floor",
@@ -98,17 +98,16 @@ fn main() {
                 71..=126 => "guard band",
                 _ => "programmed lobe",
             };
-            row([(rank + 1).to_string(), level.to_string(), f(weight, 3), region.to_owned()]);
+            r.row([(rank + 1).to_string(), level.to_string(), f(weight, 3), region.to_owned()]);
         }
     }
-    println!();
-    println!("# reading: at matched wear the classifier can only memorize sampling noise");
-    println!("# — its big weights sit on near-empty bins (guard band, lobe extremes) and");
-    println!("# the held-out accuracy collapses toward a coin flip. Against a wear gap");
-    println!("# the leverage generalizes: drift moves whole populated regions, and the");
-    println!("# held-out accuracy stays high. The SVM detects wear, not hiding.");
+    outln!(r);
+    outln!(r, "# reading: at matched wear the classifier can only memorize sampling noise");
+    outln!(r, "# — its big weights sit on near-empty bins (guard band, lobe extremes) and");
+    outln!(r, "# the held-out accuracy collapses toward a coin flip. Against a wear gap");
+    outln!(r, "# the leverage generalizes: drift moves whole populated regions, and the");
+    outln!(r, "# held-out accuracy stays high. The SVM detects wear, not hiding.");
 
-    bench.record("blocks_per_class", f64::from(BLOCKS));
-    bench.record("pairs", 2.0);
-    bench.finish();
+    r.meter.record("blocks_per_class", f64::from(BLOCKS));
+    r.meter.record("pairs", 2.0);
 }

@@ -3,23 +3,22 @@
 //! physical space between hidden pages (interval 0) and an acceptable +10%
 //! at one page interval, which became the default.
 
-use stash_bench::{
-    experiment_key, f, fill_block, fill_block_hiding, header, measure_public_ber, raw_paper_config,
-    rng, row, short_block_geometry, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block, fill_block_hiding, measure_public_ber, outln, raw_paper_config,
+    rng, short_block_geometry, Run,
 };
 use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile};
 use std::fmt::Write as _;
 
 const BLOCKS: u32 = 48;
 
-fn main() {
-    let mut meter = BenchMeter::start("interference");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
-    let mut r = rng(63);
+    profile.geometry = short_block_geometry(r.scale);
+    let mut rng = rng(63);
 
-    header(
+    r.header(
         "§6.3: public-data BER vs page interval",
         &format!("{BLOCKS} blocks per point; 18048-byte pages; 256 hidden bits/page"),
     );
@@ -29,26 +28,27 @@ fn main() {
     {
         let mut chip = Chip::new(profile.clone(), 600);
         for b in 0..BLOCKS {
-            let publics = fill_block(&mut chip, BlockId(b), &mut r);
+            let publics = fill_block(&mut chip, BlockId(b), &mut rng);
             baseline.absorb(measure_public_ber(&mut chip, BlockId(b), &publics));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
     }
 
-    row(["page_interval", "public_ber", "increase_vs_baseline"].map(String::from));
-    row(["none".into(), format!("{:.3e}", baseline.ber()), "-".into()]);
+    r.row(["page_interval", "public_ber", "increase_vs_baseline"].map(String::from));
+    r.row(["none".into(), format!("{:.3e}", baseline.ber()), "-".into()]);
     let mut json_rows = String::new();
     for interval in [0u32, 1, 2, 4] {
         let cfg = raw_paper_config(256, interval);
         let mut chip = Chip::new(profile.clone(), 600);
         let mut total = BitErrorStats::default();
         for b in 0..BLOCKS {
-            let (publics, _) = fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+            let (publics, _) =
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             total.absorb(measure_public_ber(&mut chip, BlockId(b), &publics));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
         let increase = (total.ber() / baseline.ber() - 1.0) * 100.0;
-        row([
+        r.row([
             interval.to_string(),
             format!("{:.3e}", total.ber()),
             format!("{}{}%", if increase >= 0.0 { "+" } else { "" }, f(increase, 1)),
@@ -63,9 +63,8 @@ fn main() {
             f(increase, 1),
         );
     }
-    meter.record("baseline_public_ber", (baseline.ber() * 1e9).round() / 1e9);
-    meter.record_json("by_interval", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
-    println!();
-    println!("# paper: interval 0 -> +20%, interval 1 -> +10% (chosen as default)");
+    r.meter.record("baseline_public_ber", (baseline.ber() * 1e9).round() / 1e9);
+    r.meter.record_json("by_interval", &format!("[\n{json_rows}\n    ]"));
+    outln!(r);
+    outln!(r, "# paper: interval 0 -> +20%, interval 1 -> +10% (chosen as default)");
 }

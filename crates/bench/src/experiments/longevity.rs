@@ -15,8 +15,8 @@
 //! `stash-par` pool. Rows print in generation order: byte-identical output
 //! for any `STASH_THREADS`.
 
+use crate::{experiment_key, f, outln, Run};
 use pthi::{PthiConfig, PthiHider};
-use stash_bench::{experiment_key, f, header, row, BenchMeter};
 use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
 use stash_ftl::{AccessPattern, Ftl, FtlConfig, WorkloadGen};
 use stash_stego::{HiddenVolume, StegoConfig};
@@ -50,8 +50,7 @@ fn pthi_ber_at_wear(profile: &ChipProfile, key: &stash_crypto::HidingKey, wear_m
     got.iter().zip(&truth).filter(|(a, b)| a != b).count() as f64 / truth.len() as f64
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("longevity");
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let profile = small_profile();
 
@@ -65,7 +64,7 @@ fn main() {
 
     // Fill the public volume and store the hidden secrets once.
     let mut wl = WorkloadGen::new(AccessPattern::Sequential, cap, 1);
-    let mut rng = stash_bench::rng(2);
+    let mut rng = crate::rng(2);
     for _ in 0..cap {
         let lpn = wl.next_lpn();
         let data = BitPattern::random_half(&mut rng, cpp);
@@ -76,23 +75,25 @@ fn main() {
         vol.write_hidden(i, s).unwrap();
     }
 
-    header(
+    r.header(
         "Longevity: a hidden volume under sustained Zipfian load",
         &format!(
             "{cap}-page public volume, 6 hidden slots, {GENERATIONS} full-device rewrite \
              generations (log-spaced rows); PT-HI channel on a twin chip for contrast"
         ),
     );
-    row([
-        "generation",
-        "device_writes",
-        "vthi_slots_intact",
-        "write_amp",
-        "wear_min",
-        "wear_max",
-        "pthi_ber_at_same_wear",
-    ]
-    .map(String::from));
+    r.row(
+        [
+            "generation",
+            "device_writes",
+            "vthi_slots_intact",
+            "write_amp",
+            "wear_min",
+            "wear_max",
+            "pthi_ber_at_same_wear",
+        ]
+        .map(String::from),
+    );
 
     // Serial phase: evolve the device, buffering one checkpoint row per
     // log-spaced generation.
@@ -145,7 +146,7 @@ fn main() {
             pthi_ber_at_wear(&profile, &key, wear_max)
         });
     for (c, &pthi_ber) in checkpoints.iter().zip(&pthi_bers) {
-        row([
+        r.row([
             c.generation.to_string(),
             c.host_writes.to_string(),
             format!("{}/6", c.intact),
@@ -165,19 +166,21 @@ fn main() {
     let intact_after_remount = (0..6)
         .filter(|&i| vol2.read_hidden(i).unwrap().as_deref() == Some(&secrets[i][..]))
         .count();
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# after remount from key alone: {intact_after_remount}/6 slots intact \
          (recovered {}, rebuilt {}, lost {})",
-        report.recovered, report.reconstructed, report.lost
+        report.recovered,
+        report.reconstructed,
+        report.lost
     );
-    println!("# paper §2: VT-HI tolerates wear (hidden BER ~flat to 3000 PEC) while");
-    println!("# PT-HI's channel collapses after a few hundred public P/E cycles —");
-    println!("# the columns above show both effects on the same workload");
+    outln!(r, "# paper §2: VT-HI tolerates wear (hidden BER ~flat to 3000 PEC) while");
+    outln!(r, "# PT-HI's channel collapses after a few hundred public P/E cycles —");
+    outln!(r, "# the columns above show both effects on the same workload");
 
-    bench.record("generations", f64::from(GENERATIONS));
-    bench.record("checkpoints", checkpoints.len() as f64);
-    bench.record("slots_intact_after_remount", intact_after_remount as f64);
-    bench.record_snapshot(&vol2.ftl().chip().meter());
-    bench.finish();
+    r.meter.record("generations", f64::from(GENERATIONS));
+    r.meter.record("checkpoints", checkpoints.len() as f64);
+    r.meter.record("slots_intact_after_remount", intact_after_remount as f64);
+    r.meter.record_snapshot(&vol2.ftl().chip().meter());
 }

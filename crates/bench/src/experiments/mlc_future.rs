@@ -7,23 +7,22 @@
 //! raw hidden BER, public-data BER for both logical pages, and the capacity
 //! relative to SLC-mode VT-HI on the same wordlines.
 
+use crate::{experiment_key, f, outln, rng, Run};
 use rand::Rng;
-use stash_bench::{experiment_key, f, header, rng, row, BenchMeter};
 use stash_flash::{BitErrorStats, BitPattern, BlockId, Chip, ChipProfile, PageId};
 use vthi::{MlcHideConfig, MlcHider};
 
 const WORDLINES: u32 = 24;
 
-fn main() {
-    let mut meter = BenchMeter::start("mlc_future");
+pub fn run(r: &mut Run) {
     let profile = ChipProfile::vendor_a_scaled();
     let key = experiment_key();
     let cfg = MlcHideConfig::default();
-    let mut r = rng(260);
+    let mut rng = rng(260);
 
     let mut chip = Chip::new(profile, 61);
     let sub_vth = cfg.sub_vth(&chip);
-    header(
+    r.header(
         "§6.2 future work: VT-HI inside the MLC L1 lobe (fine PP)",
         &format!(
             "{WORDLINES} wordlines; {} hidden bits each; sub-threshold level {}",
@@ -43,9 +42,9 @@ fn main() {
         if w % 8 == 0 {
             hider.chip_mut().erase_block(block).expect("erase");
         }
-        let lower = BitPattern::random_half(&mut r, cpp);
-        let upper = BitPattern::random_half(&mut r, cpp);
-        let payload: Vec<u8> = (0..payload_bytes).map(|_| r.gen()).collect();
+        let lower = BitPattern::random_half(&mut rng, cpp);
+        let upper = BitPattern::random_half(&mut rng, cpp);
+        let payload: Vec<u8> = (0..payload_bytes).map(|_| rng.gen()).collect();
         hider.hide_on_fresh_wordline(page, &lower, &upper, &payload).expect("hide");
 
         // Hidden-path integrity.
@@ -72,23 +71,22 @@ fn main() {
         public_errs.absorb(BitErrorStats::compare(&upper, &u));
     }
 
-    row(["metric", "value"].map(String::from));
-    row(["post-ECC hidden payload BER".into(), f(hidden_errs.ber(), 6)]);
-    row(["public MLC data BER".into(), format!("{:.3e}", public_errs.ber())]);
-    row(["hidden payload bytes per wordline".into(), payload_bytes.to_string()]);
-    row([
+    r.row(["metric", "value"].map(String::from));
+    r.row(["post-ECC hidden payload BER".into(), f(hidden_errs.ber(), 6)]);
+    r.row(["public MLC data BER".into(), format!("{:.3e}", public_errs.ber())]);
+    r.row(["hidden payload bytes per wordline".into(), payload_bytes.to_string()]);
+    r.row([
         "MLC public capacity per wordline".into(),
         format!("{} bytes (2 logical pages)", cpp / 8 * 2),
     ]);
-    meter.record("hidden_payload_ber", (hidden_errs.ber() * 1e6).round() / 1e6);
-    meter.record("public_mlc_ber", (public_errs.ber() * 1e9).round() / 1e9);
-    meter.record("payload_bytes_per_wordline", payload_bytes as f64);
-    meter.record("wordlines", f64::from(WORDLINES));
-    meter.finish();
+    r.meter.record("hidden_payload_ber", (hidden_errs.ber() * 1e6).round() / 1e6);
+    r.meter.record("public_mlc_ber", (public_errs.ber() * 1e9).round() / 1e9);
+    r.meter.record("payload_bytes_per_wordline", payload_bytes as f64);
+    r.meter.record("wordlines", f64::from(WORDLINES));
 
-    println!();
-    println!("# interpretation: the same keyed-selection + sub-threshold construction");
-    println!("# works inside an MLC lobe once fine programming is available, at the cost");
-    println!("# VT-HI already pays in SLC mode — supporting the paper's conjecture that");
-    println!("# vendor support extends hiding to MLC/TLC densities.");
+    outln!(r);
+    outln!(r, "# interpretation: the same keyed-selection + sub-threshold construction");
+    outln!(r, "# works inside an MLC lobe once fine programming is available, at the cost");
+    outln!(r, "# VT-HI already pays in SLC mode — supporting the paper's conjecture that");
+    outln!(r, "# vendor support extends hiding to MLC/TLC densities.");
 }

@@ -4,31 +4,29 @@
 //! (unlike PT-HI, whose channel collapses after a few hundred PEC — shown
 //! here side by side).
 
-use pthi::{PthiConfig, PthiHider};
-use stash_bench::{
-    experiment_key, f, fill_block_hiding, header, measure_hidden_ber, raw_paper_config, rng, row,
-    short_block_geometry, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, rng,
+    short_block_geometry, Run,
 };
+use pthi::{PthiConfig, PthiHider};
 use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, PageId};
 use std::fmt::Write as _;
 
 const BLOCKS: u32 = 4;
 const PECS: [u32; 4] = [0, 1000, 2000, 3000];
 
-fn main() {
+pub fn run(r: &mut Run) {
     let key = experiment_key();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
     let cfg = raw_paper_config(256, 1);
-    let mut r = rng(80);
+    let mut rng = rng(80);
 
-    header(
+    r.header(
         "§8 Reliability: hidden BER vs wear — VT-HI stays flat, PT-HI collapses",
         &format!("{BLOCKS} blocks per point; raw (pre-ECC) BER"),
     );
-    row(["pec", "vthi_ber", "pthi_ber"].map(String::from));
-
-    let mut meter = BenchMeter::start("reliability");
+    r.row(["pec", "vthi_ber", "pthi_ber"].map(String::from));
     let mut json_rows = String::new();
     for (i, &pec) in PECS.iter().enumerate() {
         // VT-HI.
@@ -36,7 +34,8 @@ fn main() {
         let mut vthi_total = BitErrorStats::default();
         for b in 0..BLOCKS {
             chip.cycle_block(BlockId(b), pec).expect("cycle");
-            let (_p, reports) = fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut r, false);
+            let (_p, reports) =
+                fill_block_hiding(&mut chip, BlockId(b), &key, &cfg, &mut rng, false);
             vthi_total.absorb(measure_hidden_ber(&mut chip, &key, &cfg, &reports));
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
@@ -66,7 +65,7 @@ fn main() {
         }
         let pthi_ber = errs as f64 / bits_total as f64;
 
-        row([pec.to_string(), f(vthi_total.ber(), 4), f(pthi_ber, 4)]);
+        r.row([pec.to_string(), f(vthi_total.ber(), 4), f(pthi_ber, 4)]);
         if !json_rows.is_empty() {
             json_rows.push_str(",\n");
         }
@@ -77,9 +76,8 @@ fn main() {
             f(pthi_ber, 4),
         );
     }
-    meter.record_json("wear_sweep", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
-    println!();
-    println!("# paper: VT-HI 0.013 at PEC 0, ~0.011 at other PEC (flat);");
-    println!("# PT-HI 'error rate significantly increases after only a few hundred PEC'");
+    r.meter.record_json("wear_sweep", &format!("[\n{json_rows}\n    ]"));
+    outln!(r);
+    outln!(r, "# paper: VT-HI 0.013 at PEC 0, ~0.011 at other PEC (flat);");
+    outln!(r, "# PT-HI 'error rate significantly increases after only a few hundred PEC'");
 }

@@ -4,8 +4,8 @@
 //! piggyback hidden writes on public traffic; this harness counts the
 //! telltales both ways.
 
+use crate::{outln, rng, Run};
 use rand::Rng;
-use stash_bench::{header, rng, row, BenchMeter};
 use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
 use stash_ftl::{Ftl, FtlConfig};
 use stash_stego::{HiddenVolume, StegoConfig};
@@ -52,9 +52,9 @@ fn scenario(piggyback: bool, public_writes_between: usize) -> (usize, usize) {
     let mut vol = HiddenVolume::format(ftl, key, cfg, 4).unwrap();
     let cap = vol.ftl().capacity_pages();
     let cpp = vol.ftl().chip().geometry().cells_per_page();
-    let mut r = rng(9 + u64::from(piggyback));
+    let mut rng = rng(9 + u64::from(piggyback));
     for lpn in 0..cap {
-        let data = BitPattern::random_half(&mut r, cpp);
+        let data = BitPattern::random_half(&mut rng, cpp);
         vol.write_public(lpn, &data).unwrap();
     }
 
@@ -66,8 +66,8 @@ fn scenario(piggyback: bool, public_writes_between: usize) -> (usize, usize) {
     // …and the normal user performs some public writes.
     let mut publicly_touched = std::collections::HashSet::new();
     for _ in 0..public_writes_between {
-        let lpn = r.gen_range(0..cap);
-        let data = BitPattern::random_half(&mut r, cpp);
+        let lpn = rng.gen_range(0..cap);
+        let data = BitPattern::random_half(&mut rng, cpp);
         vol.write_public(lpn, &data).unwrap();
         publicly_touched.insert(lpn);
     }
@@ -76,13 +76,12 @@ fn scenario(piggyback: bool, public_writes_between: usize) -> (usize, usize) {
     (changed_pages(&snap1, &snap2), publicly_touched.len())
 }
 
-fn main() {
-    let mut meter = BenchMeter::start("snapshots");
-    header(
+pub fn run(r: &mut Run) {
+    r.header(
         "§9.2 multiple-snapshot adversary: voltage-diff telltales",
         "a changed page with no public write to explain it betrays hiding",
     );
-    row(["mode", "public_writes_between", "pages_changed", "deniable"].map(String::from));
+    r.row(["mode", "public_writes_between", "pages_changed", "deniable"].map(String::from));
 
     let mut json_rows = String::new();
     for (label, piggyback, writes) in [
@@ -95,7 +94,7 @@ fn main() {
         // With zero public writes, ANY change is a telltale. With traffic,
         // changes are expected; hidden writes hide inside them.
         let deniable = if writes == 0 { changed == 0 } else { true };
-        row([
+        r.row([
             label.to_owned(),
             touched.to_string(),
             changed.to_string(),
@@ -110,10 +109,9 @@ fn main() {
              \"pages_changed\":{changed},\"deniable\":{deniable}}}",
         );
     }
-    meter.record_json("scenarios", &format!("[\n{json_rows}\n    ]"));
-    meter.finish();
-    println!();
-    println!("# paper: \"storing hidden data while leaving the public data unchanged");
-    println!("# leaves telltale signs of voltage manipulations\"; piggybacking on public");
-    println!("# writes removes the uncorrelated changes");
+    r.meter.record_json("scenarios", &format!("[\n{json_rows}\n    ]"));
+    outln!(r);
+    outln!(r, "# paper: \"storing hidden data while leaving the public data unchanged");
+    outln!(r, "# leaves telltale signs of voltage manipulations\"; piggybacking on public");
+    outln!(r, "# writes removes the uncorrelated changes");
 }

@@ -6,8 +6,9 @@
 //!     §6.1 device latencies/energies, and
 //!  2. metered measurements from actually running both schemes on
 //!     independently seeded simulated chips (the paper characterizes four
-//!     samples of the vendor-A chip; we meter `STASH_SAMPLES` of each
-//!     scheme, default 8, and aggregate).
+//!     samples of the vendor-A chip; we meter
+//!     [`Scale::samples`](crate::Scale::samples) of each scheme, 8 at full
+//!     scale, and aggregate).
 //!
 //! Samples are independent work items on the `stash-par` pool: each derives
 //! its own chip and RNG from its sample index, so the TSV is byte-identical
@@ -16,11 +17,11 @@
 //! Headline targets: 24× encode, 50× decode, 37× energy, 10-vs-625 wear,
 //! ~2× capacity (enhanced configuration vs PT-HI).
 
-use pthi::{PthiConfig, PthiHider};
-use stash_bench::{
-    experiment_key, f, fill_block_hiding_traced, header, raw_paper_config, rng, row,
-    short_block_geometry, write_trace_artifacts, BenchMeter,
+use crate::{
+    experiment_key, f, fill_block_hiding_traced, outln, raw_paper_config, rng,
+    short_block_geometry, write_trace_artifacts, Run,
 };
+use pthi::{PthiConfig, PthiHider};
 use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, MeterSnapshot, NandDevice, PageId};
 use stash_obs::Tracer;
 use vthi::{shannon_capacity_bits, Hider, HidingThroughput, PAPER_PAGES_PER_BLOCK_S8};
@@ -42,13 +43,20 @@ fn vthi_sample(profile: &ChipProfile, sample: usize, traced: bool) -> SampleMete
     let cfg = raw_paper_config(256, 1);
     let mut chip =
         stash_flash::TraceDevice::new(Chip::new(profile.clone(), 71 + 100 * sample as u64));
-    let mut r = rng(42 + sample as u64);
+    let mut rng = rng(42 + sample as u64);
     chip.reset_meter();
     let tracer = traced.then(Tracer::shared);
     chip.set_recorder(tracer.clone().map(|t| t as stash_flash::SharedRecorder));
     let before = chip.meter();
-    let (publics, reports) =
-        fill_block_hiding_traced(&mut chip, BlockId(0), &key, &cfg, &mut r, false, tracer.clone());
+    let (publics, reports) = fill_block_hiding_traced(
+        &mut chip,
+        BlockId(0),
+        &key,
+        &cfg,
+        &mut rng,
+        false,
+        tracer.clone(),
+    );
     let after_encode = chip.meter();
     let hidden_pages = reports.len() as u32;
     {
@@ -81,7 +89,7 @@ fn pthi_sample(profile: &ChipProfile, sample: usize) -> SampleMeters {
     let key = experiment_key();
     let pages = profile.geometry.pages_per_block;
     let mut chip = Chip::new(profile.clone(), 72 + 100 * sample as u64);
-    let mut r = rng(1042 + sample as u64);
+    let mut rng = rng(1042 + sample as u64);
     let pcfg = PthiConfig::paper_default(chip.geometry());
     chip.erase_block(BlockId(0)).expect("erase");
     chip.reset_meter();
@@ -100,7 +108,7 @@ fn pthi_sample(profile: &ChipProfile, sample: usize) -> SampleMeters {
         // Public data in between.
         let cpp = chip.geometry().cells_per_page();
         for p in 0..pages {
-            let data = BitPattern::random_half(&mut r, cpp);
+            let data = BitPattern::random_half(&mut rng, cpp);
             chip.program_page(PageId::new(BlockId(0), p), &data).expect("program");
         }
     }
@@ -130,8 +138,7 @@ fn aggregate(samples: &[SampleMeters]) -> SampleMeters {
     total
 }
 
-fn main() {
-    let mut bench = BenchMeter::start("table1");
+pub fn run(r: &mut Run) {
     let timing = stash_flash::TimingModel::paper_vendor_a();
 
     // ---- method 1: the paper's closed-form model --------------------------
@@ -139,13 +146,9 @@ fn main() {
     let pthi_model = HidingThroughput::pthi_model(&timing, PAPER_PAGES_PER_BLOCK_S8);
 
     // ---- method 2: metered execution on the simulator ---------------------
-    let samples: usize = std::env::var("STASH_SAMPLES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(8);
+    let samples = r.scale.samples();
     let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry();
+    profile.geometry = short_block_geometry(r.scale);
 
     // One pool pass over all 2×S independent samples: VT-HI first, PT-HI
     // after, split back apart below.
@@ -175,13 +178,15 @@ fn main() {
     );
 
     // ---- print -------------------------------------------------------------
-    header(
+    r.header(
         "Table 1 / §8: VT-HI vs PT-HI",
         &format!("model = paper closed-form; measured = simulator meter over {samples} chip samples/scheme"),
     );
-    row(["metric", "vthi_model", "pthi_model", "vthi_measured", "pthi_measured", "paper"]
-        .map(String::from));
-    row([
+    r.row(
+        ["metric", "vthi_model", "pthi_model", "vthi_measured", "pthi_measured", "paper"]
+            .map(String::from),
+    );
+    r.row([
         "encode Kb/s".into(),
         f(vthi_model.encode_kbps(), 1),
         f(pthi_model.encode_kbps(), 2),
@@ -189,7 +194,7 @@ fn main() {
         f(pthi_measured.encode_kbps(), 2),
         "35 vs 1.4".into(),
     ]);
-    row([
+    r.row([
         "decode Kb/s".into(),
         f(vthi_model.decode_kbps(), 0),
         f(pthi_model.decode_kbps(), 0),
@@ -197,7 +202,7 @@ fn main() {
         f(pthi_measured.decode_kbps(), 0),
         "2700 vs 54".into(),
     ]);
-    row([
+    r.row([
         "encode mJ/page".into(),
         f(vthi_model.encode_mj_per_page, 2),
         f(pthi_model.encode_mj_per_page, 1),
@@ -205,7 +210,7 @@ fn main() {
         f(pthi_measured.encode_mj_per_page, 1),
         "1.1 vs 43".into(),
     ]);
-    row([
+    r.row([
         "wear ops/page".into(),
         f(vthi_model.wear_ops_per_page, 0),
         f(pthi_model.wear_ops_per_page, 0),
@@ -213,7 +218,7 @@ fn main() {
         f(pthi_measured.wear_ops_per_page, 0),
         "10 vs 625".into(),
     ]);
-    row([
+    r.row([
         "destructive decode".into(),
         "no".into(),
         "yes".into(),
@@ -224,36 +229,38 @@ fn main() {
 
     let (enc, dec, energy) = vthi_model.speedup_over(&pthi_model);
     let (enc_m, dec_m, energy_m) = vthi_measured.speedup_over(&pthi_measured);
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# headline ratios  (model):    encode {enc:.1}x, decode {dec:.1}x, energy {energy:.1}x"
     );
-    println!("# headline ratios  (measured): encode {enc_m:.1}x, decode {dec_m:.1}x, energy {energy_m:.1}x");
-    println!("# paper:                       encode 24x,   decode 50x,   energy 37x");
+    outln!(r, "# headline ratios  (measured): encode {enc_m:.1}x, decode {dec_m:.1}x, energy {energy_m:.1}x");
+    outln!(r, "# paper:                       encode 24x,   decode 50x,   energy 37x");
 
     // Capacity row (§8 Improved Capacity): enhanced VT-HI vs PT-HI.
     let enhanced_bits = shannon_capacity_bits(2560, 0.02); // ≈ 2197/page
     let pthi_bits_per_page = 72_000.0 / f64::from(PAPER_PAGES_PER_BLOCK_S8); // 1125
-    println!();
-    println!(
+    outln!(r);
+    outln!(
+        r,
         "# capacity: enhanced VT-HI {:.0} usable bits/page vs PT-HI {:.0} -> {:.1}x (paper: ~2x)",
         enhanced_bits,
         pthi_bits_per_page,
         enhanced_bits / pthi_bits_per_page
     );
-    println!(
+    outln!(
+        r,
         "# default VT-HI capacity {:.1} usable bits/page (paper: 243.6)",
         shannon_capacity_bits(256, 0.005)
     );
-    println!("# trace artifacts (VT-HI measured run): results/TRACE_table1.jsonl, results/TRACE_table1.folded");
+    outln!(r, "# trace artifacts (VT-HI measured run): results/TRACE_table1.jsonl, results/TRACE_table1.folded");
 
     let mut device = MeterSnapshot::default();
     device.absorb(&vthi_total.encode);
     device.absorb(&vthi_total.decode);
     device.absorb(&pthi_total.encode);
     device.absorb(&pthi_total.decode);
-    bench.record("samples_per_scheme", samples as f64);
-    bench.record("hidden_pages", f64::from(vthi_total.pages));
-    bench.record_snapshot(&device);
-    bench.finish();
+    r.meter.record("samples_per_scheme", samples as f64);
+    r.meter.record("hidden_pages", f64::from(vthi_total.pages));
+    r.meter.record_snapshot(&device);
 }

@@ -1,20 +1,25 @@
 //! # stash-bench — experiment harnesses for every table and figure
 //!
-//! One binary per table/figure of the paper's evaluation regenerates the
-//! corresponding series (`cargo run --release -p stash-bench --bin fig6`).
-//! This library holds the shared plumbing:
-//! block preparation, histogram collection, dataset assembly for the SVM
-//! experiments, and tab-separated output helpers.
+//! Every table and figure of the paper's evaluation is one experiment
+//! function in [`experiments`], listed in [`experiments::EXPERIMENTS`].
+//! The `reproduce` binary runs them
+//! (`cargo run --release -p stash-bench --bin reproduce -- fig6`): each
+//! experiment writes its TSV into a [`Run`], and the driver stores it as
+//! `results/<name>.txt` next to `results/BENCH_<name>.json`. This library
+//! also holds the shared plumbing: block preparation, histogram
+//! collection, dataset assembly for the SVM experiments, and tab-separated
+//! output helpers.
 //!
 //! Scale note: experiments that only need distribution *shapes* run on the
 //! paper's full 18 KB pages but shorter blocks, or on the scaled SVM
-//! geometry — each binary states its geometry in its header line. The
+//! geometry — each experiment states its geometry in its header line. The
 //! simulator preserves densities and noise statistics across geometries
 //! (see `stash-flash` calibration tests), so shapes and ratios carry over.
 
 pub mod compare;
 pub mod crash;
 pub mod detect;
+pub mod experiments;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,21 +29,110 @@ use stash_obs::{span, TraceReport, Tracer};
 use std::sync::Arc;
 use vthi::{Hider, PageEncodeReport, VthiConfig};
 
+/// Appends one formatted line to a [`Run`]'s output, like `println!`
+/// does to stdout (`outln!(r)` appends an empty line).
+#[macro_export]
+macro_rules! outln {
+    ($run:expr) => {
+        $run.out.push('\n')
+    };
+    ($run:expr, $($arg:tt)*) => {{
+        use ::std::fmt::Write as _;
+        let _ = writeln!($run.out, $($arg)*);
+    }};
+}
+
+/// How large a run is: the paper's sizes, or the scaled-down sizes of the
+/// smoke recipes and the determinism test (`reproduce --smoke`). Shapes
+/// survive scaling (see `stash-flash` calibration tests), absolute values
+/// do not, so smoke artifacts are never committed to `results/`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// The committed `results/` sizes.
+    Full,
+    /// Small pages, few samples, a short crash matrix.
+    Smoke,
+}
+
+impl Scale {
+    /// Page size of [`short_block_geometry`].
+    #[must_use]
+    pub fn page_bytes(self) -> usize {
+        match self {
+            Scale::Full => 18048,
+            Scale::Smoke => 1024,
+        }
+    }
+
+    /// Table 1's metered chip samples per scheme.
+    #[must_use]
+    pub fn samples(self) -> usize {
+        match self {
+            Scale::Full => 8,
+            Scale::Smoke => 2,
+        }
+    }
+
+    /// How many power-cut points the crash matrix aims for.
+    #[must_use]
+    pub fn crash_target(self) -> usize {
+        match self {
+            Scale::Full => 200,
+            Scale::Smoke => 64,
+        }
+    }
+}
+
+/// One experiment in progress: its scale, the TSV text it produces (what
+/// the driver stores as `results/<name>.txt`), and its bench record.
+pub struct Run {
+    /// How large the run is.
+    pub scale: Scale,
+    /// The experiment's TSV output.
+    pub out: String,
+    /// Wall clock and deterministic fields for `BENCH_<name>.json`.
+    pub meter: BenchMeter,
+}
+
+impl Run {
+    /// Starts the named experiment's run (and its wall clock).
+    #[must_use]
+    pub fn new(name: &str, scale: Scale) -> Self {
+        Run { scale, out: String::new(), meter: BenchMeter::start(name) }
+    }
+
+    /// Writes a header comment line (`# ...`), plus a detail line when
+    /// `detail` is not empty.
+    pub fn header(&mut self, title: &str, detail: &str) {
+        outln!(self, "# {title}");
+        if !detail.is_empty() {
+            outln!(self, "# {detail}");
+        }
+    }
+
+    /// Writes one TSV row.
+    pub fn row<I: IntoIterator<Item = String>>(&mut self, cells: I) {
+        outln!(self, "{}", cells.into_iter().collect::<Vec<_>>().join("\t"));
+    }
+
+    /// Writes one TSV row per voltage level in `lo..=hi`: the level, then
+    /// each histogram's percentage of cells at that level.
+    pub fn level_rows<H: std::borrow::Borrow<Histogram>>(&mut self, lo: u8, hi: u8, hists: &[H]) {
+        for level in lo..=hi {
+            let mut cells = vec![level.to_string()];
+            cells.extend(hists.iter().map(|h| f(h.borrow().pct(level), 4)));
+            self.row(cells);
+        }
+    }
+}
+
 /// A geometry with the paper's full 18048-byte pages but short (16-page)
 /// blocks: full-size per-page statistics at a fraction of the cost. Used by
-/// the BER-oriented figures (6, 7, 8, 11) and Table 1.
-///
-/// `STASH_PAGE_BYTES` (≥ 512) scales the page down for smoke runs and the
-/// determinism test — shapes survive scaling (see `stash-flash`
-/// calibration tests), absolute values do not, so scaled artifacts are
-/// never committed to `results/`.
-pub fn short_block_geometry() -> Geometry {
-    let page_bytes = std::env::var("STASH_PAGE_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&b| b >= 512)
-        .unwrap_or(18048);
-    Geometry { blocks_per_chip: 64, pages_per_block: 16, page_bytes }
+/// the BER-oriented figures (6, 7, 8, 11) and Table 1. [`Scale::Smoke`]
+/// shrinks the page to 1024 bytes.
+#[must_use]
+pub fn short_block_geometry(scale: Scale) -> Geometry {
+    Geometry { blocks_per_chip: 64, pages_per_block: 16, page_bytes: scale.page_bytes() }
 }
 
 /// The paper's default hiding configuration on full-size pages, with raw
@@ -341,7 +435,8 @@ impl BenchMeter {
 
     /// Stops the clock, writes `results/BENCH_<name>.json`, and appends
     /// this run's record to `results/HISTORY.jsonl`, rotating the log
-    /// first when it has grown past the cap (see [`rotate_history`]).
+    /// first when it has grown to [`HISTORY_MAX`] records (see
+    /// [`rotate_history`]).
     pub fn finish(self) {
         use std::io::Write as _;
         let dir = std::path::Path::new("results");
@@ -350,19 +445,16 @@ impl BenchMeter {
         }
         let _ = std::fs::write(dir.join(format!("BENCH_{}.json", self.name)), self.to_json());
         let history = dir.join("HISTORY.jsonl");
-        rotate_history(&history, history_max());
+        rotate_history(&history, HISTORY_MAX);
         if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&history) {
             let _ = writeln!(f, "{}", self.history_line());
         }
     }
 }
 
-/// The `HISTORY.jsonl` rotation cap: `STASH_HISTORY_MAX` lines (default
-/// 4096 — generous; a full `just bench` run appends well under a dozen).
-#[must_use]
-pub fn history_max() -> usize {
-    std::env::var("STASH_HISTORY_MAX").ok().and_then(|v| v.parse().ok()).unwrap_or(4096).max(1)
-}
+/// The `HISTORY.jsonl` rotation cap in lines — generous; a full
+/// `reproduce` run appends 22.
+pub const HISTORY_MAX: usize = 4096;
 
 /// Rotates `HISTORY.jsonl` to `HISTORY.1.jsonl` (replacing any previous
 /// rotation) once it holds at least `max` records, so the trajectory log
@@ -389,19 +481,6 @@ pub fn experiment_key() -> HidingKey {
     HidingKey::from_passphrase("stash-bench reproduction key")
 }
 
-/// Prints a header comment line (`# ...`).
-pub fn header(title: &str, detail: &str) {
-    println!("# {title}");
-    if !detail.is_empty() {
-        println!("# {detail}");
-    }
-}
-
-/// Prints one TSV row.
-pub fn row<I: IntoIterator<Item = String>>(cells: I) {
-    println!("{}", cells.into_iter().collect::<Vec<_>>().join("\t"));
-}
-
 /// Formats a float with fixed precision for TSV output.
 pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
@@ -414,7 +493,7 @@ mod tests {
 
     #[test]
     fn short_block_geometry_has_paper_pages() {
-        let g = short_block_geometry();
+        let g = short_block_geometry(Scale::Full);
         assert_eq!(g.page_bytes, 18048);
         assert_eq!(g.cells_per_page(), 144_384);
         assert!(g.pages_per_block < 64);

@@ -1,43 +1,40 @@
 //! The parallel-execution determinism contract, enforced end to end:
-//! running a bench binary with `STASH_THREADS=1` and `STASH_THREADS=8`
-//! must produce byte-identical TSV output and byte-identical
-//! `BENCH_*.json` artifacts (after stripping the two run-descriptive
-//! fields, `wall_ms` and `threads`) for a fixed seed. When the bench also
-//! emits a `TRACE_<name>.jsonl` artifact, the rendered trace *analysis*
-//! (critical path + top spans) must be byte-identical too — the analysis
-//! engine is a pure function of the trace, and the trace is part of the
-//! determinism contract.
+//! running an experiment through `reproduce` with `STASH_THREADS=1` and
+//! `STASH_THREADS=8` must write a byte-identical `results/<name>.txt` and
+//! a byte-identical `BENCH_<name>.json` (after stripping the two
+//! run-descriptive fields, `wall` and `threads`) for a fixed seed. When
+//! the experiment also emits a `TRACE_<name>.jsonl` artifact, the rendered
+//! trace *analysis* (critical path + top spans) must be byte-identical
+//! too — the analysis engine is a pure function of the trace, and the
+//! trace is part of the determinism contract.
 //!
-//! The binaries run on a scaled geometry (`STASH_PAGE_BYTES`, small
-//! `STASH_SAMPLES`) so the test stays in CI budget; determinism is a
-//! structural property of the work-item seeding, not of the geometry.
+//! The experiments run at `--smoke` scale so the test stays in CI budget;
+//! determinism is a structural property of the work-item seeding, not of
+//! the geometry.
 
 use stash_obs::json::{self, JsonValue};
 use std::path::Path;
 use std::process::Command;
 
-/// Runs one bench binary in its own scratch dir with the given thread
-/// count, returning (stdout, normalized BENCH json, rendered trace
-/// analysis if the bench emitted a trace).
-fn run_bench(
-    exe: &str,
-    bench: &str,
-    threads: u32,
-    dir: &Path,
-) -> (Vec<u8>, String, Option<String>) {
+/// Runs one experiment at smoke scale in its own scratch dir with the
+/// given thread count, returning (its TSV, normalized BENCH json, rendered
+/// trace analysis if the experiment emitted a trace).
+fn run_bench(bench: &str, threads: u32, dir: &Path) -> (String, String, Option<String>) {
     std::fs::create_dir_all(dir).expect("scratch dir");
-    let out = Command::new(exe)
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--smoke", bench])
         .current_dir(dir)
         .env("STASH_THREADS", threads.to_string())
-        .env("STASH_PAGE_BYTES", "1024")
-        .env("STASH_SAMPLES", "2")
         .output()
-        .expect("bench binary runs");
+        .expect("reproduce runs");
     assert!(
         out.status.success(),
         "{bench} failed at {threads} threads: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let txt_path = dir.join("results").join(format!("{bench}.txt"));
+    let tsv = std::fs::read_to_string(&txt_path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", txt_path.display()));
     let json_path = dir.join("results").join(format!("BENCH_{bench}.json"));
     let raw = std::fs::read_to_string(&json_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", json_path.display()));
@@ -49,7 +46,7 @@ fn run_bench(
                 stash_obs::analyze::render_analysis(&stats, 10)
             },
         );
-    (out.stdout, normalize(&raw, bench), analysis)
+    (tsv, normalize(&raw, bench), analysis)
 }
 
 /// Parses the bench JSON and re-renders it with the run-descriptive fields
@@ -102,16 +99,14 @@ fn render(out: &mut String, v: &JsonValue) {
     }
 }
 
-fn assert_thread_count_invariant(exe: &str, bench: &str) {
+fn assert_thread_count_invariant(bench: &str) {
     let base =
         std::env::temp_dir().join(format!("stash-determinism-{bench}-{}", std::process::id()));
-    let (stdout_1, json_1, analysis_1) = run_bench(exe, bench, 1, &base.join("t1"));
-    let (stdout_8, json_8, analysis_8) = run_bench(exe, bench, 8, &base.join("t8"));
+    let (tsv_1, json_1, analysis_1) = run_bench(bench, 1, &base.join("t1"));
+    let (tsv_8, json_8, analysis_8) = run_bench(bench, 8, &base.join("t8"));
     assert!(
-        stdout_1 == stdout_8,
-        "{bench}: TSV output differs between STASH_THREADS=1 and 8\n--- 1 thread ---\n{}\n--- 8 threads ---\n{}",
-        String::from_utf8_lossy(&stdout_1),
-        String::from_utf8_lossy(&stdout_8)
+        tsv_1 == tsv_8,
+        "{bench}: results/{bench}.txt differs between STASH_THREADS=1 and 8\n--- 1 thread ---\n{tsv_1}\n--- 8 threads ---\n{tsv_8}"
     );
     assert!(
         json_1 == json_8,
@@ -133,10 +128,10 @@ fn assert_thread_count_invariant(exe: &str, bench: &str) {
 
 #[test]
 fn table1_is_thread_count_invariant() {
-    assert_thread_count_invariant(env!("CARGO_BIN_EXE_table1"), "table1");
+    assert_thread_count_invariant("table1");
 }
 
 #[test]
 fn fig7_is_thread_count_invariant() {
-    assert_thread_count_invariant(env!("CARGO_BIN_EXE_fig7"), "fig7");
+    assert_thread_count_invariant("fig7");
 }

@@ -9,7 +9,8 @@ verify:
 
 # The CI gate: no registry package in the lockfile (every crates.io name
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
-# full workspace test suite, docs with warnings denied, bench smoke.
+# full workspace test suite, docs with warnings denied, bench smoke, and
+# the committed results/ against a fresh run of the fast experiments.
 ci:
     if grep -n '^source = ' Cargo.lock; then echo "Cargo.lock names a registry package" >&2; exit 1; fi
     cargo fmt --all --check
@@ -21,25 +22,42 @@ ci:
     just array-smoke
     just postmortem-smoke
     just bench-compare
+    just reproduce-check
 
-# Bench smoke: table1 + fig6 on a scaled geometry (scratch dir, so the
+# Regenerate every committed artifact in results/ at full scale: each
+# experiment's TSV, BENCH_*.json and TRACE_* files, plus one HISTORY.jsonl
+# line each (~9 min at one thread on a 2-vCPU VM).
+reproduce:
+    cargo build --release -p stash-bench --bin reproduce
+    ./target/release/reproduce
+
+# The committed results/ must match the code: re-run the fast experiments
+# at full scale into a scratch dir and diff their TSVs and traces against
+# results/ (~30 s).
+reproduce-check:
+    cargo build --release -p stash-bench --bin reproduce
+    rm -rf target/reproduce-check && mkdir -p target/reproduce-check
+    cd target/reproduce-check && ../release/reproduce fig1 fig2 fig3 fig5 fig9 applicability snapshots mlc_future chaos crashpoints table1
+    for f in fig1 fig2 fig3 fig5 fig9 applicability snapshots mlc_future chaos crashpoints table1; do diff -u results/$f.txt target/reproduce-check/results/$f.txt || exit 1; done
+    for f in chaos crashpoints table1; do for ext in jsonl folded; do diff -q results/TRACE_$f.$ext target/reproduce-check/results/TRACE_$f.$ext || exit 1; done; done
+
+# Bench smoke: table1 + fig6 at --smoke scale (scratch dir, so the
 # committed full-geometry results/ artifacts stay untouched), then check
 # that the BENCH_*.json artifacts exist and parse. Fast enough for CI.
 bench-smoke:
     cargo build --release -p stash-bench --bins
     rm -rf target/bench-smoke && mkdir -p target/bench-smoke
-    cd target/bench-smoke && STASH_PAGE_BYTES=1024 STASH_SAMPLES=2 ../release/table1 > /dev/null
-    cd target/bench-smoke && STASH_PAGE_BYTES=1024 ../release/fig6 > /dev/null
+    cd target/bench-smoke && ../release/reproduce --smoke table1 fig6
     ./target/release/bench_check target/bench-smoke/results/BENCH_table1.json target/bench-smoke/results/BENCH_fig6.json target/bench-smoke/results/TRACE_table1.jsonl target/bench-smoke/results/TRACE_table1.folded
 
-# Crash-consistency smoke: a scaled crash-point matrix (64 cuts; the
-# full 200+-point matrix runs in `cargo test` via tests/crash_matrix.rs).
-# The binary itself asserts zero invariant violations; bench_check then
-# validates the emitted BENCH artifact.
+# Crash-consistency smoke: a scaled crash-point matrix (64 cuts under
+# --smoke; the full 200+-point matrix runs in `cargo test` via
+# tests/crash_matrix.rs). The experiment itself asserts zero invariant
+# violations; bench_check then validates the emitted BENCH artifact.
 crash-smoke:
     cargo build --release -p stash-bench --bins
     rm -rf target/crash-smoke && mkdir -p target/crash-smoke
-    cd target/crash-smoke && STASH_CRASH_TARGET=64 ../release/crashpoints > /dev/null
+    cd target/crash-smoke && ../release/reproduce --smoke crashpoints
     ./target/release/bench_check target/crash-smoke/results/BENCH_crashpoints.json
 
 # Array-shard smoke: a 4-chip chaos run in which one whole chip dies and
@@ -62,17 +80,16 @@ postmortem-smoke:
     cd target/postmortem-smoke && ../release/postmortem_smoke > /dev/null
     ./target/release/bench_check target/postmortem-smoke/results/BENCH_postmortem_smoke.json target/postmortem-smoke/results/POSTMORTEM_smoke_power-loss.jsonl
 
-# Regression sentinel: re-run the deterministic trio (table1 + fig6 on the
-# scaled geometry, chaos at full size) into a scratch dir, validate the
+# Regression sentinel: re-run the deterministic trio (table1 + fig6 at
+# --smoke scale, chaos at full size) into a scratch dir, validate the
 # artifacts and the run history, then diff every deterministic metric
 # against the committed baseline within its tolerance band. Exits non-zero
 # on any drift — this is the CI gate against silent metric regressions.
 bench-compare:
     cargo build --release -p stash-bench --bins
     rm -rf target/bench-compare && mkdir -p target/bench-compare
-    cd target/bench-compare && STASH_PAGE_BYTES=1024 STASH_SAMPLES=2 ../release/table1 > /dev/null
-    cd target/bench-compare && STASH_PAGE_BYTES=1024 ../release/fig6 > /dev/null
-    cd target/bench-compare && ../release/chaos > /dev/null
+    cd target/bench-compare && ../release/reproduce --smoke table1 fig6
+    cd target/bench-compare && ../release/reproduce chaos
     ./target/release/bench_check target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json target/bench-compare/results/HISTORY.jsonl
     ./target/release/bench_compare results/BASELINE.json target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json
 
@@ -82,9 +99,8 @@ bench-compare:
 baseline:
     cargo build --release -p stash-bench --bins
     rm -rf target/bench-compare && mkdir -p target/bench-compare
-    cd target/bench-compare && STASH_PAGE_BYTES=1024 STASH_SAMPLES=2 ../release/table1 > /dev/null
-    cd target/bench-compare && STASH_PAGE_BYTES=1024 ../release/fig6 > /dev/null
-    cd target/bench-compare && ../release/chaos > /dev/null
+    cd target/bench-compare && ../release/reproduce --smoke table1 fig6
+    cd target/bench-compare && ../release/reproduce chaos
     ./target/release/bench_compare --write-baseline results/BASELINE.json target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json
 
 # Fast edit loop: tier-1 integration suites only (root package).
@@ -97,7 +113,7 @@ test-all:
 
 # The chaos sweep: hidden-byte survival under injected faults.
 chaos:
-    cargo run --release -p stash-bench --bin chaos
+    cargo run --release -p stash-bench --bin reproduce -- chaos
 
 # The repository benchmark (`perfbench/`, its own offline cargo workspace;
 # see perfbench/README.md and BENCHMARK.json): one workload, one seed.
