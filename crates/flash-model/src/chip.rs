@@ -855,7 +855,8 @@ impl Chip {
         self.meter.record_fault(kind);
     }
 
-    /// Crate-internal alias kept for the MLC/TLC programming passes.
+    /// Crate-internal alias of `record_op`, used by the chip's own commands
+    /// and the MLC mode.
     pub(crate) fn meter_record(&mut self, kind: OpKind) {
         self.record_op(kind);
     }

@@ -70,7 +70,6 @@ pub mod profile;
 pub mod recorder;
 pub mod rng;
 pub mod snapshot;
-pub mod tlc;
 
 pub use array::ArrayDevice;
 pub use ber::BitErrorStats;
