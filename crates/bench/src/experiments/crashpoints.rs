@@ -84,7 +84,7 @@ pub fn run(r: &mut Run) {
         "Crash-point matrix: power-loss atomicity over the golden workload",
         &format!(
             "{SLOTS} hidden slots; one power cut per run; target {target} cut points \
-             (STASH_CRASH_TARGET scales)"
+             (--smoke scales)"
         ),
     );
 
