@@ -11,35 +11,32 @@
 //! `--smoke` runs the scaled sizes of [`Scale::Smoke`]. An unknown name or
 //! option fails before any experiment runs and writes nothing.
 
-use stash_bench::experiments::{find, EXPERIMENTS};
+use stash_bench::experiments::{Experiment, EXPERIMENTS};
 use stash_bench::{Run, Scale};
 use std::process::ExitCode;
 
-fn usage() -> String {
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-    format!("usage: reproduce [--smoke] [NAME...]\nexperiments: {}", names.join(" "))
-}
-
 fn main() -> ExitCode {
     let mut scale = Scale::Full;
-    let mut chosen = Vec::new();
+    let mut chosen: Vec<Experiment> = Vec::new();
     for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             scale = Scale::Smoke;
-        } else if let Some(run) = find(&arg) {
-            chosen.push((arg, run));
+        } else if let Some(&experiment) = EXPERIMENTS.iter().find(|(name, _)| *name == arg) {
+            chosen.push(experiment);
         } else {
-            eprintln!("reproduce: unknown experiment or option {arg:?}\n{}", usage());
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            eprintln!("reproduce: unknown experiment or option {arg:?}");
+            eprintln!("usage: reproduce [--smoke] [NAME...]\nexperiments: {}", names.join(" "));
             return ExitCode::FAILURE;
         }
     }
     if chosen.is_empty() {
-        chosen = EXPERIMENTS.iter().map(|&(n, run)| (n.to_owned(), run)).collect();
+        chosen = EXPERIMENTS.to_vec();
     }
 
     let dir = std::path::Path::new("results");
     for (name, experiment) in chosen {
-        let mut run = Run::new(&name, scale);
+        let mut run = Run::new(name, scale);
         experiment(&mut run);
         let txt = dir.join(format!("{name}.txt"));
         if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&txt, &run.out)) {

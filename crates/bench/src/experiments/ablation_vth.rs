@@ -5,20 +5,18 @@
 //! cells above the threshold read as `0`). Higher thresholds shrink both.
 //! The paper picked 34 empirically; this harness shows the whole trade-off.
 
-use crate::{
+use crate::{block_histograms, 
     experiment_key, f, fill_block, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config,
-    rng, short_block_geometry, Run,
+    rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, Histogram, PageId};
-use std::fmt::Write as _;
+use stash_flash::{BitErrorStats, BlockId, Chip, Histogram};
 
 const BLOCKS: u32 = 3;
 const VTHS: [u8; 6] = [20, 27, 34, 42, 50, 60];
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
 
     r.header(
         "Ablation: hidden threshold Vth — capacity vs reliability",
@@ -37,23 +35,14 @@ pub fn run(r: &mut Run) {
     let mut natural = Histogram::new();
     {
         let mut chip = Chip::new(profile.clone(), 4000);
-        let mut levels = Vec::new();
         for b in 0..BLOCKS {
             let publics = fill_block(&mut chip, BlockId(b), &mut rng);
-            for (p, public) in publics.iter().enumerate() {
-                chip.probe_voltages_into(PageId::new(BlockId(b), p as u32), &mut levels)
-                    .expect("probe");
-                for (i, &l) in levels.iter().enumerate() {
-                    if public.get(i) {
-                        natural.add_levels(&[l]);
-                    }
-                }
-            }
+            natural.merge(&block_histograms(&mut chip, BlockId(b), &publics).0);
             chip.discard_block_state(BlockId(b)).expect("discard");
         }
     }
 
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     for &vth in &VTHS {
         let mut cfg = raw_paper_config(256, 1);
         cfg.vth = vth;
@@ -71,18 +60,14 @@ pub fn run(r: &mut Run) {
         let erased_per_page = 144_384 / 2;
         let budget = (above * erased_per_page as f64 * 0.73 * 2.0) as usize;
         r.row([vth.to_string(), f(above * 100.0, 3), budget.to_string(), f(total.ber(), 5)]);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        let _ = write!(
-            json_rows,
+        json_rows.push(format!(
             "      {{\"vth\":{vth},\"natural_above_pct\":{},\"stealth_budget_bits\":{budget},\
              \"hidden_ber\":{}}}",
             f(above * 100.0, 3),
             f(total.ber(), 5),
-        );
+        ));
     }
-    r.meter.record_json("vth_tradeoff", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("vth_tradeoff", &json_rows);
     outln!(r);
     outln!(r, "# the paper's Vth=34 sits where the natural population still covers the");
     outln!(r, "# 256-bit default (budget >= hidden bits) while the hidden-'1' collision");

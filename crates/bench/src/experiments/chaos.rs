@@ -24,7 +24,6 @@ use stash_ftl::{Ftl, FtlConfig};
 use stash_obs::json::write_num;
 use stash_obs::Tracer;
 use stash_stego::{HiddenVolume, StegoConfig};
-use std::fmt::Write as _;
 
 const RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
 const SLOTS: usize = 6;
@@ -133,34 +132,32 @@ fn run_rate(i: usize, rate: f64) -> (Vec<String>, String, f64) {
     ];
 
     let report = tracer.report();
-    let mut json_row = String::new();
-    json_row.push_str("    {\"fault_rate\":");
-    write_num(&mut json_row, rate);
-    json_row.push_str(",\"survival\":");
-    write_num(&mut json_row, survival);
-    let _ = write!(
-        json_row,
-        ",\"faults\":{},\"retired_blocks\":{},\"scrub_migrated\":{},\"scrub_refreshed\":{},\
-         \"lost\":{},\"retries\":{},\"ops\":{},",
-        meter.total_faults(),
-        vol2.ftl().stats().retirements,
-        scrub.migrated,
-        scrub.refreshed,
-        scrub.lost + remount.lost,
-        report.counters.iter().find(|(n, _, _)| n == "transient_retries").map_or(0, |c| c.2),
-        meter.total_ops(),
-    );
-    let _ = write!(
-        json_row,
-        "\"journal_replayed\":{},\"torn_pages\":{},\"hidden_reencoded\":{},\
-         \"remount_device_us\":",
-        mount.live_pages, mount.torn_pages, remount.reconstructed,
-    );
-    write_num(&mut json_row, remount_device_us);
-    json_row.push_str(",\"device_time_us\":");
-    write_num(&mut json_row, meter.device_time_us);
-    json_row.push_str(",\"energy_uj\":");
-    write_num(&mut json_row, meter.energy_uj);
+    let retries =
+        report.counters.iter().find(|(n, _, _)| n == "transient_retries").map_or(0, |c| c.2);
+    let fields = [
+        ("fault_rate", rate),
+        ("survival", survival),
+        ("faults", meter.total_faults() as f64),
+        ("retired_blocks", vol2.ftl().stats().retirements as f64),
+        ("scrub_migrated", scrub.migrated as f64),
+        ("scrub_refreshed", scrub.refreshed as f64),
+        ("lost", (scrub.lost + remount.lost) as f64),
+        ("retries", retries as f64),
+        ("ops", meter.total_ops() as f64),
+        ("journal_replayed", mount.live_pages as f64),
+        ("torn_pages", mount.torn_pages as f64),
+        ("hidden_reencoded", remount.reconstructed as f64),
+        ("remount_device_us", remount_device_us),
+        ("device_time_us", meter.device_time_us),
+        ("energy_uj", meter.energy_uj),
+    ];
+    let mut json_row = String::from("    {");
+    for (i, (key, v)) in fields.into_iter().enumerate() {
+        json_row.push_str(if i == 0 { "\"" } else { ",\"" });
+        json_row.push_str(key);
+        json_row.push_str("\":");
+        write_num(&mut json_row, v);
+    }
     json_row.push('}');
 
     if rate == TRACED_RATE {
@@ -188,14 +185,11 @@ pub fn run(r: &mut Run) {
 
     let results = stash_par::par_map(RATES.to_vec(), run_rate);
 
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     let mut remount_wall_us_total = 0.0;
     for (tsv, json_row, remount_wall_us) in results {
         r.row(tsv);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        json_rows.push_str(&json_row);
+        json_rows.push(json_row);
         remount_wall_us_total += remount_wall_us;
     }
 
@@ -205,7 +199,7 @@ pub fn run(r: &mut Run) {
     );
     r.meter.record("slots", SLOTS as f64);
     r.meter.record("grown_bad_at_op", GROWN_BAD_AT_OP as f64);
-    r.meter.record_json("rates", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("rates", &json_rows);
     outln!(r, "ok: >=99.9% of hidden payload bytes survive through the 1% fault point");
     outln!(r, "# machine-readable series: results/BENCH_chaos.json");
     outln!(r, "# trace artifacts (rate {TRACED_RATE}): results/TRACE_chaos.jsonl, results/TRACE_chaos.folded");

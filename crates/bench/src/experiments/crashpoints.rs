@@ -27,7 +27,6 @@ use crate::{f, outln, write_trace_artifacts, Run};
 use stash_flash::OpKind;
 use stash_obs::Tracer;
 use stash_svm::{Dataset, Kernel, StandardScaler, Svm, SvmParams};
-use std::fmt::Write as _;
 
 const SEED: u64 = 0xC0FFEE;
 /// Seeds for the detectability experiment: one device per seed, crashed
@@ -98,31 +97,23 @@ pub fn run(r: &mut Run) {
         ["cut_kind", "cuts", "torn_pages", "tag_failures", "reencoded", "violations"]
             .map(String::from),
     );
-    let mut json_kinds = String::new();
+    let mut json_kinds = Vec::new();
     let mut violations_total = 0usize;
     let (mut torn_total, mut tag_total, mut reenc_total) = (0u64, 0usize, 0usize);
     let (mut replayed_total, mut device_us_total, mut wall_us_total) = (0u64, 0.0f64, 0.0f64);
-    for (label, select) in [
-        (
-            "before_op",
-            Box::new(|c: &stash_flash::PowerCut| c.fraction == 0.0)
-                as Box<dyn Fn(&stash_flash::PowerCut) -> bool>,
-        ),
-        (
-            "mid_pp",
-            Box::new(|c: &stash_flash::PowerCut| {
-                c.fraction > 0.0 && baseline.op_log[c.at_op as usize] == OpKind::PartialProgram
-            }),
-        ),
-        (
-            "mid_program",
-            Box::new(|c: &stash_flash::PowerCut| {
-                c.fraction > 0.0 && baseline.op_log[c.at_op as usize] == OpKind::Program
-            }),
-        ),
-    ] {
+    let kind = |c: &stash_flash::PowerCut| {
+        if c.fraction == 0.0 {
+            return Some("before_op");
+        }
+        match baseline.op_log[c.at_op as usize] {
+            OpKind::PartialProgram => Some("mid_pp"),
+            OpKind::Program => Some("mid_program"),
+            _ => None,
+        }
+    };
+    for label in ["before_op", "mid_pp", "mid_program"] {
         let group: Vec<_> =
-            runs.iter().filter(|run| run.cut.as_ref().is_some_and(&select)).collect();
+            runs.iter().filter(|run| run.cut.as_ref().and_then(kind) == Some(label)).collect();
         let torn: u64 = group.iter().map(|run| run.mount.torn_pages).sum();
         let tags: usize = group.iter().map(|run| run.recovery.tag_failures).sum();
         let reenc: usize = group.iter().map(|run| run.recovery.reconstructed).sum();
@@ -135,15 +126,11 @@ pub fn run(r: &mut Run) {
             reenc.to_string(),
             viol.to_string(),
         ]);
-        if !json_kinds.is_empty() {
-            json_kinds.push_str(",\n");
-        }
-        let _ = write!(
-            json_kinds,
+        json_kinds.push(format!(
             "      {{\"kind\":\"{label}\",\"cuts\":{},\"torn_pages\":{torn},\
              \"tag_failures\":{tags},\"reencoded\":{reenc},\"violations\":{viol}}}",
             group.len(),
-        );
+        ));
     }
     for run in &runs {
         violations_total += run.violations.len();
@@ -199,9 +186,7 @@ pub fn run(r: &mut Run) {
         "svm",
         &format!("{{\"crash_accuracy\": {crash_acc}, \"control_accuracy\": {control_acc}}}"),
     );
-    let mut traced_run = String::new();
-    let _ = write!(
-        traced_run,
+    let traced_run = format!(
         "{{\"journal_replayed\": {}, \"torn_discarded\": {}, \
          \"remount_recovered\": {}, \"remount_reconstructed\": {}, \
          \"remount_tag_failures\": {}, \"remount_device_us\": {:.3}}}",
@@ -213,7 +198,7 @@ pub fn run(r: &mut Run) {
         traced.remount_device_us,
     );
     r.meter.record_json("traced_run", &traced_run);
-    r.meter.record_json("by_kind", &format!("[\n{json_kinds}\n    ]"));
+    r.meter.record_rows("by_kind", &json_kinds);
 
     outln!(r);
     outln!(

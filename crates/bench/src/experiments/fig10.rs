@@ -8,22 +8,13 @@
 //!
 //! Runtime: a few minutes at the paper's 31 blocks per class.
 
-use crate::detect::{prepare_features, train_two_test_one, BLOCKS_PER_CLASS};
-use crate::{experiment_key, f, outln, Run};
+use crate::detect::{WearGrid, BLOCKS_PER_CLASS, HIDDEN_PECS, NORMAL_PECS};
+use crate::{experiment_key, outln, Run};
 use stash_flash::ChipProfile;
-use std::collections::HashMap;
 use vthi::{EccChoice, VthiConfig};
 
-const HIDDEN_PECS: [u32; 3] = [0, 1000, 2000];
-const NORMAL_PECS: [u32; 7] = [0, 500, 1000, 1500, 2000, 2500, 3000];
+/// The three chip samples; fill seeds start at 10,000,000.
 const CHIP_SEEDS: [u64; 3] = [11, 22, 33];
-
-/// Per-(pec, class, chip) fill-RNG base seed; `prepare_features` adds the
-/// block index, so the 100-wide chip spacing keeps streams disjoint for any
-/// block count ≤ 100.
-fn feature_seed(pec: u32, hidden: bool, chip_idx: usize) -> u64 {
-    10_000_000 + u64::from(pec) * 10_000 + u64::from(hidden) * 1_000 + chip_idx as u64 * 100
-}
 
 pub fn run(r: &mut Run) {
     let profile = ChipProfile::vendor_a_scaled();
@@ -41,42 +32,7 @@ pub fn run(r: &mut Run) {
         ),
     );
 
-    // Feature cache: (pec, hidden?) -> per-chip feature sets. Dataset
-    // assembly fans out across blocks inside prepare_features.
-    let mut cache: HashMap<(u32, bool), [Vec<Vec<f64>>; 3]> = HashMap::new();
-    let mut features = |pec: u32, hidden: bool| -> [Vec<Vec<f64>>; 3] {
-        cache
-            .entry((pec, hidden))
-            .or_insert_with(|| {
-                let mk = |chip_idx: usize| {
-                    prepare_features(
-                        &profile,
-                        CHIP_SEEDS[chip_idx],
-                        pec,
-                        hidden.then_some((&key, &cfg)),
-                        blocks,
-                        feature_seed(pec, hidden, chip_idx),
-                    )
-                };
-                [mk(0), mk(1), mk(2)]
-            })
-            .clone()
-    };
-
-    let mut head = vec!["normal_pec".to_owned()];
-    head.extend(HIDDEN_PECS.iter().map(|p| format!("hidden_pec_{p}")));
-    r.row(head);
-
-    for &normal_pec in &NORMAL_PECS {
-        let normal = features(normal_pec, false);
-        let mut cells = vec![normal_pec.to_string()];
-        for &hidden_pec in &HIDDEN_PECS {
-            let hidden = features(hidden_pec, true);
-            let (acc, _cv) = train_two_test_one(&normal, &hidden);
-            cells.push(f(acc * 100.0, 1));
-        }
-        r.row(cells);
-    }
+    WearGrid::new(&profile, (&key, &cfg), CHIP_SEEDS, 10_000_000).write(r);
 
     outln!(r);
     outln!(r, "# paper: ~50% at matched PEC; accuracy rises with |normal - hidden| wear gap");

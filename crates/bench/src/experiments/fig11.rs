@@ -12,19 +12,18 @@
 
 use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, measure_public_ber, outln,
-    raw_paper_config, rng, short_block_geometry, Run,
+    raw_paper_config, rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot};
+use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot};
 
 const BLOCKS: u32 = 4;
 const PECS: [u32; 3] = [0, 1000, 2000];
 /// Retention checkpoints in days (1 day, 1 month, 4 months).
 const CHECKPOINTS: [f64; 3] = [1.0, 30.0, 120.0];
 
+/// One wear level's BERs at zero time, then at each checkpoint.
 struct Line {
     pec: u32,
-    hidden_t0: f64,
-    public_t0: f64,
     hidden: Vec<f64>,
     public: Vec<f64>,
     device: MeterSnapshot,
@@ -32,8 +31,7 @@ struct Line {
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let cfg = raw_paper_config(256, 1);
 
     let lines = stash_par::par_map(PECS.to_vec(), |i, pec| {
@@ -49,35 +47,21 @@ pub fn run(r: &mut Run) {
             stored.push((block, publics, reports));
         }
 
-        let measure =
-            |chip: &mut Chip,
-             stored: &[(BlockId, Vec<stash_flash::BitPattern>, Vec<vthi::PageEncodeReport>)]|
-             -> (f64, f64) {
-                let mut hid = BitErrorStats::default();
-                let mut pubs = BitErrorStats::default();
-                for (block, publics, reports) in stored {
-                    hid.absorb(measure_hidden_ber(chip, &key, &cfg, reports));
-                    pubs.absorb(measure_public_ber(chip, *block, publics));
-                }
-                (hid.ber(), pubs.ber())
-            };
-
-        let (h0, p0) = measure(&mut chip, &stored);
-        let mut line = Line {
-            pec,
-            hidden_t0: h0,
-            public_t0: p0,
-            hidden: vec![],
-            public: vec![],
-            device: MeterSnapshot::default(),
-        };
+        let mut line = Line { pec, hidden: vec![], public: vec![], device: MeterSnapshot::default() };
         let mut aged = 0.0;
-        for &t in &CHECKPOINTS {
-            chip.age_days(t - aged);
-            aged = t;
-            let (h, p) = measure(&mut chip, &stored);
-            line.hidden.push(h);
-            line.public.push(p);
+        for t in std::iter::once(0.0).chain(CHECKPOINTS) {
+            if t > aged {
+                chip.age_days(t - aged);
+                aged = t;
+            }
+            let mut hid = BitErrorStats::default();
+            let mut pubs = BitErrorStats::default();
+            for (block, publics, reports) in &stored {
+                hid.absorb(measure_hidden_ber(&mut chip, &key, &cfg, reports));
+                pubs.absorb(measure_public_ber(&mut chip, *block, publics));
+            }
+            line.hidden.push(hid.ber());
+            line.public.push(pubs.ber());
         }
         line.device = chip.meter();
         line
@@ -93,11 +77,8 @@ pub fn run(r: &mut Run) {
         for kind in ["vthi", "normal"] {
             let mut cells = vec![(*label).to_owned(), kind.to_owned()];
             for line in &lines {
-                let (t0, t) = if kind == "vthi" {
-                    (line.hidden_t0, line.hidden[ci])
-                } else {
-                    (line.public_t0, line.public[ci])
-                };
+                let bers = if kind == "vthi" { &line.hidden } else { &line.public };
+                let (t0, t) = (bers[0], bers[ci + 1]);
                 cells.push(if t0 > 0.0 { f(t / t0, 2) } else { "n/a".into() });
             }
             r.row(cells);
@@ -110,10 +91,10 @@ pub fn run(r: &mut Run) {
             r,
             "# PEC {:>4}: hidden BER {:.4} -> {:.4} after 4 months; normal {:.2e} -> {:.2e}",
             line.pec,
-            line.hidden_t0,
-            line.hidden[2],
-            line.public_t0,
-            line.public[2]
+            line.hidden[0],
+            line.hidden[3],
+            line.public[0],
+            line.public[3]
         );
     }
     outln!(r, "# paper anchors: hidden x6.3 and normal x2.3 at PEC 2000 / 4 months;");

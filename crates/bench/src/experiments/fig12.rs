@@ -14,15 +14,12 @@
 //! arithmetic itself (2% BER → 14% ECC → 2197 bits/page) is reproduced
 //! analytically by `table1`.
 
-use crate::detect::{prepare_features, train_two_test_one, BLOCKS_PER_CLASS};
+use crate::detect::{prepare_three, train_two_test_one, WearGrid, BLOCKS_PER_CLASS};
 use crate::{experiment_key, f, fill_block, outln, rng, Run};
 use stash_flash::{BlockId, Chip, ChipProfile, PageId};
-use std::collections::HashMap;
 use vthi::capacity::PageCapacity;
 use vthi::{EccChoice, VthiConfig};
 
-const HIDDEN_PECS: [u32; 3] = [0, 1000, 2000];
-const NORMAL_PECS: [u32; 7] = [0, 500, 1000, 1500, 2000, 2500, 3000];
 const CHIP_SEEDS: [u64; 3] = [44, 55, 66];
 const VTH_ENHANCED: u8 = 15;
 
@@ -49,11 +46,16 @@ fn planner_budget(profile: &ChipProfile) -> usize {
     (budget * 2).max(32)
 }
 
-/// Per-(pec, class, chip) fill-RNG base seed (offset from fig10's block so
-/// the two figures never share fill streams); `prepare_features` adds the
-/// block index within the 100-wide chip slot.
-fn feature_seed(pec: u32, hidden: bool, chip_idx: usize) -> u64 {
-    12_000_000 + u64::from(pec) * 10_000 + u64::from(hidden) * 1_000 + chip_idx as u64 * 100
+/// The enhanced configuration at `bits` hidden bits per page: Vth 15, a
+/// single fine PP step, raw (ECC-free) bits.
+fn enhanced(base: &VthiConfig, bits: usize) -> VthiConfig {
+    let mut cfg = base.clone();
+    cfg.hidden_bits_per_page = bits;
+    cfg.vth = VTH_ENHANCED;
+    cfg.max_pp_steps = 1;
+    cfg.use_fine_pp = true;
+    cfg.ecc = EccChoice::None;
+    cfg
 }
 
 pub fn run(r: &mut Run) {
@@ -62,12 +64,7 @@ pub fn run(r: &mut Run) {
     let base = VthiConfig::scaled_for(&profile.geometry);
 
     let budget = planner_budget(&profile);
-    let mut cfg = base.clone();
-    cfg.hidden_bits_per_page = budget;
-    cfg.vth = VTH_ENHANCED;
-    cfg.max_pp_steps = 1;
-    cfg.use_fine_pp = true;
-    cfg.ecc = EccChoice::None;
+    let cfg = enhanced(&base, budget);
     let blocks = BLOCKS_PER_CLASS;
 
     r.header(
@@ -80,40 +77,9 @@ pub fn run(r: &mut Run) {
         ),
     );
 
-    let mut cache: HashMap<(u32, bool), [Vec<Vec<f64>>; 3]> = HashMap::new();
-    let mut features = |pec: u32, hidden: bool| -> [Vec<Vec<f64>>; 3] {
-        cache
-            .entry((pec, hidden))
-            .or_insert_with(|| {
-                let mk = |chip_idx: usize| {
-                    prepare_features(
-                        &profile,
-                        CHIP_SEEDS[chip_idx],
-                        pec,
-                        hidden.then_some((&key, &cfg)),
-                        blocks,
-                        feature_seed(pec, hidden, chip_idx),
-                    )
-                };
-                [mk(0), mk(1), mk(2)]
-            })
-            .clone()
-    };
-
-    let mut head = vec!["normal_pec".to_owned()];
-    head.extend(HIDDEN_PECS.iter().map(|p| format!("hidden_pec_{p}")));
-    r.row(head);
-
-    for &normal_pec in &NORMAL_PECS {
-        let normal = features(normal_pec, false);
-        let mut cells = vec![normal_pec.to_string()];
-        for &hidden_pec in &HIDDEN_PECS {
-            let hidden = features(hidden_pec, true);
-            let (acc, _cv) = train_two_test_one(&normal, &hidden);
-            cells.push(f(acc * 100.0, 1));
-        }
-        r.row(cells);
-    }
+    // Fill seeds start at 12,000,000, clear of fig10's streams.
+    let mut grid = WearGrid::new(&profile, (&key, &cfg), CHIP_SEEDS, 12_000_000);
+    grid.write(r);
 
     outln!(r);
     outln!(r, "# paper: matched-wear accuracy 50-60% (slightly above Fig. 10's 50-53%),");
@@ -128,26 +94,12 @@ pub fn run(r: &mut Run) {
         "multiplier is over the scaled default density (0.18% of cells)",
     );
     r.row(["multiplier", "hidden_bits_per_page", "svm_accuracy_pct"].map(String::from));
-    let normal = features(1000, false);
+    let normal = grid.features(1000, false);
     for mult in [1usize, 2, 4] {
-        let mut dcfg = base.clone();
-        dcfg.hidden_bits_per_page = base.hidden_bits_per_page * mult;
-        dcfg.vth = VTH_ENHANCED;
-        dcfg.max_pp_steps = 1;
-        dcfg.use_fine_pp = true;
-        dcfg.ecc = EccChoice::None;
-        let mk = |chip_idx: usize| {
-            prepare_features(
-                &profile,
-                CHIP_SEEDS[chip_idx],
-                1000,
-                Some((&key, &dcfg)),
-                blocks,
-                5_000_000 + mult as u64 * 1_000 + chip_idx as u64 * 100,
-            )
-        };
-        let hidden = [mk(0), mk(1), mk(2)];
-        let (acc, _) = train_two_test_one(&normal, &hidden);
+        let dcfg = enhanced(&base, base.hidden_bits_per_page * mult);
+        let seed = 5_000_000 + mult as u64 * 1_000;
+        let hidden = prepare_three(&profile, CHIP_SEEDS, 1000, Some((&key, &dcfg)), seed);
+        let (acc, _) = train_two_test_one(normal, &hidden);
         r.row([format!("{mult}x"), dcfg.hidden_bits_per_page.to_string(), f(acc * 100.0, 1)]);
     }
     outln!(r);

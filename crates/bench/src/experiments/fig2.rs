@@ -5,8 +5,8 @@
 //! (a) block/erased over levels 10–70, (b) block/programmed over 120–210,
 //! (c) page/erased, (d) page/programmed. Columns: level, sample1..sample4.
 
-use crate::{block_histograms, fill_block, outln, rng, short_block_geometry, Run};
-use stash_flash::{BlockId, Chip, ChipProfile, Histogram, PageId};
+use crate::{block_histograms, page_histograms, fill_block, outln, rng, short_block_profile, Run};
+use stash_flash::{BlockId, Chip, PageId};
 
 pub fn run(r: &mut Run) {
     let mut block_erased = Vec::new();
@@ -16,8 +16,7 @@ pub fn run(r: &mut Run) {
 
     let mut rng = rng(42);
     for sample in 0..4u64 {
-        let mut profile = ChipProfile::vendor_a();
-        profile.geometry = short_block_geometry(r.scale);
+        let profile = short_block_profile(r.scale);
         let mut chip = Chip::new(profile, 100 + sample);
         let publics = fill_block(&mut chip, BlockId(0), &mut rng);
         let (erased, programmed) = block_histograms(&mut chip, BlockId(0), &publics);
@@ -25,17 +24,7 @@ pub fn run(r: &mut Run) {
         block_programmed.push(programmed);
 
         // Page-level: one mid-block page.
-        let mut levels = Vec::new();
-        chip.probe_voltages_into(PageId::new(BlockId(0), 8), &mut levels).expect("probe");
-        let mut pe = Histogram::new();
-        let mut pp = Histogram::new();
-        for (i, &l) in levels.iter().enumerate() {
-            if publics[8].get(i) {
-                pe.add_levels(&[l]);
-            } else {
-                pp.add_levels(&[l]);
-            }
-        }
+        let (pe, pp) = page_histograms(&mut chip, [(PageId::new(BlockId(0), 8), &publics[8])]);
         page_erased.push(pe);
         page_programmed.push(pp);
     }

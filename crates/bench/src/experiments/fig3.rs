@@ -5,12 +5,11 @@
 //! Output: two TSV sections — (a) erased cells over levels 10–70,
 //! (b) programmed cells over 120–210. Columns: level, PEC0..PEC3000.
 
-use crate::{block_histograms, fill_block, outln, rng, short_block_geometry, Run};
-use stash_flash::{BlockId, Chip, ChipProfile, Histogram};
+use crate::{block_histograms, fill_block, outln, rng, short_block_profile, Run};
+use stash_flash::{BlockId, Chip, Histogram};
 
 pub fn run(r: &mut Run) {
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let mut chip = Chip::new(profile, 7);
     let mut rng = rng(3);
 

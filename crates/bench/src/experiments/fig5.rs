@@ -8,13 +8,12 @@
 
 use crate::{
     block_histograms, experiment_key, f, fill_block, fill_block_hiding, outln, raw_paper_config,
-    rng, short_block_geometry, Run,
+    rng, short_block_profile, Run,
 };
-use stash_flash::{BlockId, Chip, ChipProfile};
+use stash_flash::{BlockId, Chip};
 
 pub fn run(r: &mut Run) {
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let key = experiment_key();
     let cfg = raw_paper_config(256, 1);
 

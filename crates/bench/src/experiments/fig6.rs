@@ -16,10 +16,10 @@
 
 use crate::{
     experiment_key, f, fill_block_hiding_traced, outln, raw_paper_config, rng,
-    short_block_geometry, write_trace_artifacts, Run,
+    short_block_profile, write_trace_artifacts, Run,
 };
 use stash_flash::{
-    BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot, NandDevice, TraceDevice,
+    BitErrorStats, BlockId, Chip, MeterSnapshot, NandDevice, TraceDevice,
 };
 use stash_obs::Tracer;
 
@@ -30,8 +30,7 @@ const BITS: [usize; 3] = [32, 128, 512];
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
 
     r.header(
         "Figure 6: hidden BER vs partial-program steps",

@@ -11,9 +11,9 @@
 
 use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, rng,
-    short_block_geometry, Run,
+    short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, MeterSnapshot};
+use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot};
 
 const BLOCKS: u32 = 5;
 const INTERVALS: [u32; 4] = [0, 1, 2, 4];
@@ -21,8 +21,7 @@ const BITS: [usize; 3] = [32, 128, 512];
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
 
     r.header(
         "Figure 7: hidden BER at 10 PP steps vs page interval",

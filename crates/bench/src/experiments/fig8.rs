@@ -5,18 +5,16 @@
 
 use crate::{
     block_histograms, experiment_key, f, fill_block, fill_block_hiding, outln, raw_paper_config,
-    rng, short_block_geometry, Run,
+    rng, short_block_profile, Run,
 };
-use stash_flash::{BlockId, Chip, ChipProfile, Histogram};
-use std::fmt::Write as _;
+use stash_flash::{BlockId, Chip, Histogram};
 
 const BLOCKS: u32 = 3;
 const BITS: [usize; 4] = [32, 64, 128, 256];
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let mut rng = rng(8);
 
     // Normal baseline.
@@ -58,22 +56,18 @@ pub fn run(r: &mut Run) {
     outln!(r);
     outln!(r, "# fraction of erased cells at/above Vth=34 (the hiding-induced shift):");
     outln!(r, "#   normal: {:.4}%", normal.fraction_at_or_above(34) * 100.0);
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     for (h, bits) in hidden.iter().zip(BITS) {
         outln!(r, "#   {bits:>3} bits/page: {:.4}%", h.fraction_at_or_above(34) * 100.0);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        let _ = write!(
-            json_rows,
+        json_rows.push(format!(
             "      {{\"bits\":{bits},\"above_vth_pct\":{}}}",
             f(h.fraction_at_or_above(34) * 100.0, 4),
-        );
+        ));
     }
     outln!(r, "# paper: 'only a tiny shift to the right', growing with bit count");
     r.meter.record(
         "normal_above_vth_pct",
         (normal.fraction_at_or_above(34) * 100.0 * 1e4).round() / 1e4,
     );
-    r.meter.record_json("shift_by_bits", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("shift_by_bits", &json_rows);
 }

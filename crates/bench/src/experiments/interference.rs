@@ -5,17 +5,15 @@
 
 use crate::{
     experiment_key, f, fill_block, fill_block_hiding, measure_public_ber, outln, raw_paper_config,
-    rng, short_block_geometry, Run,
+    rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile};
-use std::fmt::Write as _;
+use stash_flash::{BitErrorStats, BlockId, Chip};
 
 const BLOCKS: u32 = 48;
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let mut rng = rng(63);
 
     r.header(
@@ -36,7 +34,7 @@ pub fn run(r: &mut Run) {
 
     r.row(["page_interval", "public_ber", "increase_vs_baseline"].map(String::from));
     r.row(["none".into(), format!("{:.3e}", baseline.ber()), "-".into()]);
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     for interval in [0u32, 1, 2, 4] {
         let cfg = raw_paper_config(256, interval);
         let mut chip = Chip::new(profile.clone(), 600);
@@ -53,18 +51,14 @@ pub fn run(r: &mut Run) {
             format!("{:.3e}", total.ber()),
             format!("{}{}%", if increase >= 0.0 { "+" } else { "" }, f(increase, 1)),
         ]);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        let _ = write!(
-            json_rows,
+        json_rows.push(format!(
             "      {{\"interval\":{interval},\"public_ber\":{},\"increase_pct\":{}}}",
             f(total.ber(), 9),
             f(increase, 1),
-        );
+        ));
     }
     r.meter.record("baseline_public_ber", (baseline.ber() * 1e9).round() / 1e9);
-    r.meter.record_json("by_interval", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("by_interval", &json_rows);
     outln!(r);
     outln!(r, "# paper: interval 0 -> +20%, interval 1 -> +10% (chosen as default)");
 }

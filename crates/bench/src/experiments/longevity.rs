@@ -95,17 +95,9 @@ pub fn run(r: &mut Run) {
         .map(String::from),
     );
 
-    // Serial phase: evolve the device, buffering one checkpoint row per
-    // log-spaced generation.
-    struct Checkpoint {
-        generation: u32,
-        host_writes: u64,
-        intact: usize,
-        write_amp: f64,
-        wear_min: u32,
-        wear_max: u32,
-    }
-    let mut checkpoints = Vec::new();
+    // Serial phase: evolve the device, buffering one checkpoint row (all
+    // but its PT-HI column) and its max wear per log-spaced generation.
+    let mut checkpoints: Vec<(Vec<String>, u32)> = Vec::new();
     let mut zipf = WorkloadGen::new(AccessPattern::Zipfian { theta: 0.99 }, cap, 3);
     for generation in 1..=GENERATIONS {
         // One generation = one full device capacity of host writes.
@@ -130,31 +122,27 @@ pub fn run(r: &mut Run) {
         let blocks = vol.ftl().chip().geometry().blocks_per_chip;
         let pecs: Vec<u32> =
             (0..blocks).map(|b| vol.ftl().chip().block_pec(BlockId(b)).unwrap()).collect();
-        checkpoints.push(Checkpoint {
-            generation,
-            host_writes: stats.host_writes,
-            intact,
-            write_amp: stats.write_amplification(),
-            wear_min: *pecs.iter().min().unwrap(),
-            wear_max: *pecs.iter().max().unwrap(),
-        });
+        let wear_max = *pecs.iter().max().unwrap();
+        let row = vec![
+            generation.to_string(),
+            stats.host_writes.to_string(),
+            format!("{intact}/6"),
+            f(stats.write_amplification(), 2),
+            pecs.iter().min().unwrap().to_string(),
+            wear_max.to_string(),
+        ];
+        checkpoints.push((row, wear_max));
     }
 
     // Parallel phase: the PT-HI contrast decode per checkpoint.
+    let rows = checkpoints.len();
     let pthi_bers =
-        stash_par::par_map(checkpoints.iter().map(|c| c.wear_max).collect(), |_, wear_max| {
+        stash_par::par_map(checkpoints.iter().map(|c| c.1).collect(), |_, wear_max| {
             pthi_ber_at_wear(&profile, &key, wear_max)
         });
-    for (c, &pthi_ber) in checkpoints.iter().zip(&pthi_bers) {
-        r.row([
-            c.generation.to_string(),
-            c.host_writes.to_string(),
-            format!("{}/6", c.intact),
-            f(c.write_amp, 2),
-            c.wear_min.to_string(),
-            c.wear_max.to_string(),
-            f(pthi_ber, 3),
-        ]);
+    for ((mut row, _), pthi_ber) in checkpoints.into_iter().zip(pthi_bers) {
+        row.push(f(pthi_ber, 3));
+        r.row(row);
     }
 
     // Final proof from flash, not cache: power-cycle and remount.
@@ -180,7 +168,7 @@ pub fn run(r: &mut Run) {
     outln!(r, "# the columns above show both effects on the same workload");
 
     r.meter.record("generations", f64::from(GENERATIONS));
-    r.meter.record("checkpoints", checkpoints.len() as f64);
+    r.meter.record("checkpoints", rows as f64);
     r.meter.record("slots_intact_after_remount", intact_after_remount as f64);
     r.meter.record_snapshot(&vol2.ftl().chip().meter());
 }

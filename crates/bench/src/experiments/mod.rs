@@ -9,63 +9,25 @@
 
 use crate::Run;
 
-pub mod ablation_vth;
-pub mod applicability;
-pub mod chaos;
-pub mod crashpoints;
-pub mod fig1;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig2;
-pub mod fig3;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
-pub mod forensics;
-pub mod interference;
-pub mod longevity;
-pub mod mlc_future;
-pub mod reliability;
-pub mod snapshots;
-pub mod table1;
-
 /// One experiment: its name (the stem of its `results/` artifacts) and
 /// the function that runs it.
 pub type Experiment = (&'static str, fn(&mut Run));
 
-/// Every experiment, in the order the README lists them.
-pub const EXPERIMENTS: [Experiment; 22] = [
-    ("fig1", fig1::run),
-    ("fig2", fig2::run),
-    ("fig3", fig3::run),
-    ("fig5", fig5::run),
-    ("fig6", fig6::run),
-    ("fig7", fig7::run),
-    ("fig8", fig8::run),
-    ("fig9", fig9::run),
-    ("fig10", fig10::run),
-    ("fig11", fig11::run),
-    ("fig12", fig12::run),
-    ("table1", table1::run),
-    ("interference", interference::run),
-    ("reliability", reliability::run),
-    ("applicability", applicability::run),
-    ("mlc_future", mlc_future::run),
-    ("ablation_vth", ablation_vth::run),
-    ("longevity", longevity::run),
-    ("snapshots", snapshots::run),
-    ("forensics", forensics::run),
-    ("chaos", chaos::run),
-    ("crashpoints", crashpoints::run),
-];
+/// Declares one module per experiment and lists them, under the module's
+/// name, in [`EXPERIMENTS`].
+macro_rules! experiments {
+    ($($name:ident),* $(,)?) => {
+        $(pub mod $name;)*
 
-/// Looks an experiment up by name.
-#[must_use]
-pub fn find(name: &str) -> Option<fn(&mut Run)> {
-    EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|&(_, run)| run)
+        /// Every experiment, in the order the README lists them.
+        pub const EXPERIMENTS: &[Experiment] = &[$((stringify!($name), $name::run)),*];
+    };
+}
+
+experiments! {
+    fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1,
+    interference, reliability, applicability, mlc_future, ablation_vth,
+    longevity, snapshots, forensics, chaos, crashpoints,
 }
 
 #[cfg(test)]

@@ -6,19 +6,17 @@
 
 use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, rng,
-    short_block_geometry, Run,
+    short_block_profile, Run,
 };
 use pthi::{PthiConfig, PthiHider};
-use stash_flash::{BitErrorStats, BlockId, Chip, ChipProfile, PageId};
-use std::fmt::Write as _;
+use stash_flash::{BitErrorStats, BlockId, Chip, PageId};
 
 const BLOCKS: u32 = 4;
 const PECS: [u32; 4] = [0, 1000, 2000, 3000];
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
     let cfg = raw_paper_config(256, 1);
     let mut rng = rng(80);
 
@@ -27,7 +25,7 @@ pub fn run(r: &mut Run) {
         &format!("{BLOCKS} blocks per point; raw (pre-ECC) BER"),
     );
     r.row(["pec", "vthi_ber", "pthi_ber"].map(String::from));
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     for (i, &pec) in PECS.iter().enumerate() {
         // VT-HI.
         let mut chip = Chip::new(profile.clone(), 700 + i as u64);
@@ -66,17 +64,13 @@ pub fn run(r: &mut Run) {
         let pthi_ber = errs as f64 / bits_total as f64;
 
         r.row([pec.to_string(), f(vthi_total.ber(), 4), f(pthi_ber, 4)]);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        let _ = write!(
-            json_rows,
+        json_rows.push(format!(
             "      {{\"pec\":{pec},\"vthi_ber\":{},\"pthi_ber\":{}}}",
             f(vthi_total.ber(), 4),
             f(pthi_ber, 4),
-        );
+        ));
     }
-    r.meter.record_json("wear_sweep", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("wear_sweep", &json_rows);
     outln!(r);
     outln!(r, "# paper: VT-HI 0.013 at PEC 0, ~0.011 at other PEC (flat);");
     outln!(r, "# PT-HI 'error rate significantly increases after only a few hundred PEC'");

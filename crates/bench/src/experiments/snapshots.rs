@@ -9,7 +9,6 @@ use rand::Rng;
 use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
 use stash_ftl::{Ftl, FtlConfig};
 use stash_stego::{HiddenVolume, StegoConfig};
-use std::fmt::Write as _;
 
 fn small_profile() -> ChipProfile {
     let mut p = ChipProfile::vendor_a();
@@ -83,7 +82,7 @@ pub fn run(r: &mut Run) {
     );
     r.row(["mode", "public_writes_between", "pages_changed", "deniable"].map(String::from));
 
-    let mut json_rows = String::new();
+    let mut json_rows = Vec::new();
     for (label, piggyback, writes) in [
         ("eager, quiet device", false, 0usize),
         ("eager, busy device", false, 24),
@@ -100,16 +99,12 @@ pub fn run(r: &mut Run) {
             changed.to_string(),
             if deniable { "yes".into() } else { "NO — telltale".into() },
         ]);
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        let _ = write!(
-            json_rows,
+        json_rows.push(format!(
             "      {{\"mode\":\"{label}\",\"piggyback\":{piggyback},\"public_writes\":{touched},\
              \"pages_changed\":{changed},\"deniable\":{deniable}}}",
-        );
+        ));
     }
-    r.meter.record_json("scenarios", &format!("[\n{json_rows}\n    ]"));
+    r.meter.record_rows("scenarios", &json_rows);
     outln!(r);
     outln!(r, "# paper: \"storing hidden data while leaving the public data unchanged");
     outln!(r, "# leaves telltale signs of voltage manipulations\"; piggybacking on public");

@@ -19,7 +19,7 @@
 
 use crate::{
     experiment_key, f, fill_block_hiding_traced, outln, raw_paper_config, rng,
-    short_block_geometry, write_trace_artifacts, Run,
+    short_block_profile, write_trace_artifacts, Run,
 };
 use pthi::{PthiConfig, PthiHider};
 use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, MeterSnapshot, NandDevice, PageId};
@@ -28,6 +28,7 @@ use vthi::{shannon_capacity_bits, Hider, HidingThroughput, PAPER_PAGES_PER_BLOCK
 
 /// One metered scheme run: encode-phase meter, decode-phase meter, and the
 /// number of hidden (VT-HI) or carrier (PT-HI) pages it processed.
+#[derive(Default)]
 struct SampleMeters {
     encode: MeterSnapshot,
     decode: MeterSnapshot,
@@ -125,11 +126,7 @@ fn pthi_sample(profile: &ChipProfile, sample: usize) -> SampleMeters {
 
 /// Sums per-sample meters into one device-total account, in sample order.
 fn aggregate(samples: &[SampleMeters]) -> SampleMeters {
-    let mut total = SampleMeters {
-        encode: MeterSnapshot::default(),
-        decode: MeterSnapshot::default(),
-        pages: 0,
-    };
+    let mut total = SampleMeters::default();
     for s in samples {
         total.encode.absorb(&s.encode);
         total.decode.absorb(&s.decode);
@@ -147,8 +144,7 @@ pub fn run(r: &mut Run) {
 
     // ---- method 2: metered execution on the simulator ---------------------
     let samples = r.scale.samples();
-    let mut profile = ChipProfile::vendor_a();
-    profile.geometry = short_block_geometry(r.scale);
+    let profile = short_block_profile(r.scale);
 
     // One pool pass over all 2×S independent samples: VT-HI first, PT-HI
     // after, split back apart below.
@@ -186,46 +182,18 @@ pub fn run(r: &mut Run) {
         ["metric", "vthi_model", "pthi_model", "vthi_measured", "pthi_measured", "paper"]
             .map(String::from),
     );
-    r.row([
-        "encode Kb/s".into(),
-        f(vthi_model.encode_kbps(), 1),
-        f(pthi_model.encode_kbps(), 2),
-        f(vthi_measured.encode_kbps(), 1),
-        f(pthi_measured.encode_kbps(), 2),
-        "35 vs 1.4".into(),
-    ]);
-    r.row([
-        "decode Kb/s".into(),
-        f(vthi_model.decode_kbps(), 0),
-        f(pthi_model.decode_kbps(), 0),
-        f(vthi_measured.decode_kbps(), 0),
-        f(pthi_measured.decode_kbps(), 0),
-        "2700 vs 54".into(),
-    ]);
-    r.row([
-        "encode mJ/page".into(),
-        f(vthi_model.encode_mj_per_page, 2),
-        f(pthi_model.encode_mj_per_page, 1),
-        f(vthi_measured.encode_mj_per_page, 2),
-        f(pthi_measured.encode_mj_per_page, 1),
-        "1.1 vs 43".into(),
-    ]);
-    r.row([
-        "wear ops/page".into(),
-        f(vthi_model.wear_ops_per_page, 0),
-        f(pthi_model.wear_ops_per_page, 0),
-        f(vthi_measured.wear_ops_per_page, 1),
-        f(pthi_measured.wear_ops_per_page, 0),
-        "10 vs 625".into(),
-    ]);
-    r.row([
-        "destructive decode".into(),
-        "no".into(),
-        "yes".into(),
-        "no".into(),
-        "yes".into(),
-        "Table 1".into(),
-    ]);
+    let schemes = [&vthi_model, &pthi_model, &vthi_measured, &pthi_measured];
+    let metric = |name: &str, value: fn(&HidingThroughput) -> f64, prec: [usize; 4], paper: &str| {
+        let mut cells = vec![name.to_owned()];
+        cells.extend(schemes.iter().zip(prec).map(|(t, p)| f(value(t), p)));
+        cells.push(paper.to_owned());
+        cells
+    };
+    r.row(metric("encode Kb/s", HidingThroughput::encode_kbps, [1, 2, 1, 2], "35 vs 1.4"));
+    r.row(metric("decode Kb/s", HidingThroughput::decode_kbps, [0; 4], "2700 vs 54"));
+    r.row(metric("encode mJ/page", |t| t.encode_mj_per_page, [2, 1, 2, 1], "1.1 vs 43"));
+    r.row(metric("wear ops/page", |t| t.wear_ops_per_page, [0, 0, 1, 0], "10 vs 625"));
+    r.row(["destructive decode", "no", "yes", "no", "yes", "Table 1"].map(String::from));
 
     let (enc, dec, energy) = vthi_model.speedup_over(&pthi_model);
     let (enc_m, dec_m, energy_m) = vthi_measured.speedup_over(&pthi_measured);

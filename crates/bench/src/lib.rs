@@ -24,7 +24,9 @@ pub mod experiments;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stash_crypto::HidingKey;
-use stash_flash::{BitErrorStats, BitPattern, BlockId, Geometry, Histogram, NandDevice, PageId};
+use stash_flash::{
+    BitErrorStats, BitPattern, BlockId, ChipProfile, Geometry, Histogram, NandDevice, PageId,
+};
 use stash_obs::{span, TraceReport, Tracer};
 use std::sync::Arc;
 use vthi::{Hider, PageEncodeReport, VthiConfig};
@@ -55,31 +57,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Page size of [`short_block_geometry`].
+    fn pick(self, full: usize, smoke: usize) -> usize {
+        match self {
+            Scale::Full => full,
+            Scale::Smoke => smoke,
+        }
+    }
+
+    /// Page size of [`short_block_profile`]: 18048 bytes, 1024 smoke.
     #[must_use]
     pub fn page_bytes(self) -> usize {
-        match self {
-            Scale::Full => 18048,
-            Scale::Smoke => 1024,
-        }
+        self.pick(18048, 1024)
     }
 
-    /// Table 1's metered chip samples per scheme.
+    /// Table 1's metered chip samples per scheme: 8, 2 smoke.
     #[must_use]
     pub fn samples(self) -> usize {
-        match self {
-            Scale::Full => 8,
-            Scale::Smoke => 2,
-        }
+        self.pick(8, 2)
     }
 
-    /// How many power-cut points the crash matrix aims for.
+    /// How many power-cut points the crash matrix aims for: 200, 64 smoke.
     #[must_use]
     pub fn crash_target(self) -> usize {
-        match self {
-            Scale::Full => 200,
-            Scale::Smoke => 64,
-        }
+        self.pick(200, 64)
     }
 }
 
@@ -126,13 +126,16 @@ impl Run {
     }
 }
 
-/// A geometry with the paper's full 18048-byte pages but short (16-page)
-/// blocks: full-size per-page statistics at a fraction of the cost. Used by
-/// the BER-oriented figures (6, 7, 8, 11) and Table 1. [`Scale::Smoke`]
-/// shrinks the page to 1024 bytes.
+/// The vendor-A chip with the paper's full 18048-byte pages but short
+/// (16-page) blocks: full-size per-page statistics at a fraction of the
+/// cost. Used by the BER-oriented figures (6, 7, 8, 11) and Table 1.
+/// [`Scale::Smoke`] shrinks the page to 1024 bytes.
 #[must_use]
-pub fn short_block_geometry(scale: Scale) -> Geometry {
-    Geometry { blocks_per_chip: 64, pages_per_block: 16, page_bytes: scale.page_bytes() }
+pub fn short_block_profile(scale: Scale) -> ChipProfile {
+    let mut profile = ChipProfile::vendor_a();
+    profile.geometry =
+        Geometry { blocks_per_chip: 64, pages_per_block: 16, page_bytes: scale.page_bytes() };
+    profile
 }
 
 /// The paper's default hiding configuration on full-size pages, with raw
@@ -246,18 +249,29 @@ pub fn write_trace_artifacts(name: &str, report: &TraceReport) {
     );
 }
 
-/// Probes a whole block and splits the histogram by cell state. One probe
-/// buffer is reused across pages — no per-page `Vec<Level>` allocation.
+/// Probes a whole block and splits the histogram by cell state.
 pub fn block_histograms<D: NandDevice>(
     chip: &mut D,
     block: BlockId,
     publics: &[BitPattern],
 ) -> (Histogram, Histogram) {
+    let pages =
+        publics.iter().enumerate().map(|(p, public)| (PageId::new(block, p as u32), public));
+    page_histograms(chip, pages)
+}
+
+/// Probes pages and splits their cells' levels by the public bit stored in
+/// each: `(erased, programmed)`. One probe buffer is reused across pages —
+/// no per-page `Vec<Level>` allocation.
+pub fn page_histograms<'a, D: NandDevice>(
+    chip: &mut D,
+    pages: impl IntoIterator<Item = (PageId, &'a BitPattern)>,
+) -> (Histogram, Histogram) {
     let mut erased = Histogram::new();
     let mut programmed = Histogram::new();
     let mut levels = Vec::new();
-    for (p, public) in publics.iter().enumerate() {
-        chip.probe_voltages_into(PageId::new(block, p as u32), &mut levels).expect("probe");
+    for (page, public) in pages {
+        chip.probe_voltages_into(page, &mut levels).expect("probe");
         for (bit, &level) in public.iter().zip(levels.iter()) {
             if bit {
                 erased.add_level(level);
@@ -346,6 +360,12 @@ impl BenchMeter {
     /// it is valid JSON and byte-identical across thread counts.
     pub fn record_json(&mut self, key: &str, rendered_json: &str) {
         self.det.push((key.to_string(), rendered_json.to_string()));
+    }
+
+    /// Records one deterministic array field, one pre-rendered JSON row per
+    /// line (same promise as [`record_json`](Self::record_json)).
+    pub fn record_rows(&mut self, key: &str, rows: &[String]) {
+        self.record_json(key, &format!("[\n{}\n    ]", rows.join(",\n")));
     }
 
     /// Records one wall-clock figure (nondeterministic, never gated) under
@@ -492,8 +512,8 @@ mod tests {
     use stash_flash::Chip;
 
     #[test]
-    fn short_block_geometry_has_paper_pages() {
-        let g = short_block_geometry(Scale::Full);
+    fn short_block_profile_has_paper_pages() {
+        let g = short_block_profile(Scale::Full).geometry;
         assert_eq!(g.page_bytes, 18048);
         assert_eq!(g.cells_per_page(), 144_384);
         assert!(g.pages_per_block < 64);
