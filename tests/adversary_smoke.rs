@@ -1,7 +1,7 @@
 //! Cross-crate smoke test of the paper's central security claim (§7):
 //! an SVM given per-block voltage histograms cannot reliably separate
 //! hidden from normal blocks at matched wear, while a large wear gap is
-//! trivially separable. (The full experiment is `stash-bench --bin fig10`;
+//! trivially separable. (The full experiment is `reproduce fig10`;
 //! this keeps a fast regression guard in the test suite.)
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
