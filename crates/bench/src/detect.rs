@@ -17,9 +17,9 @@ use vthi::VthiConfig;
 pub const BLOCKS_PER_CLASS: u32 = 31;
 
 /// Wear levels of the hidden blocks in the Fig. 10/12 grid (its columns).
-pub const HIDDEN_PECS: [u32; 3] = [0, 1000, 2000];
+pub(crate) const HIDDEN_PECS: [u32; 3] = [0, 1000, 2000];
 /// Wear levels of the normal blocks in the Fig. 10/12 grid (its rows).
-pub const NORMAL_PECS: [u32; 7] = [0, 500, 1000, 1500, 2000, 2500, 3000];
+pub(crate) const NORMAL_PECS: [u32; 7] = [0, 500, 1000, 1500, 2000, 2500, 3000];
 
 /// The block-level feature vector: the normalized 256-bin voltage
 /// histogram of every cell in the block. The probe buffer is reused across
@@ -74,7 +74,7 @@ pub fn prepare_features(
 /// protocol, [`BLOCKS_PER_CLASS`] blocks each: chip `i` is
 /// `chip_seeds[i]` and fills from `rng_seed + 100 * i` (the 100-wide slot
 /// keeps block streams disjoint).
-pub fn prepare_three(
+pub(crate) fn prepare_three(
     profile: &ChipProfile,
     chip_seeds: [u64; 3],
     pec: u32,
@@ -95,7 +95,7 @@ pub fn prepare_three(
 
 /// The Fig. 10/12 wear grid: per-chip feature sets of every (PEC, hidden?)
 /// class, prepared once and reused across the grid's cells.
-pub struct WearGrid<'a> {
+pub(crate) struct WearGrid<'a> {
     profile: &'a ChipProfile,
     hide: (&'a HidingKey, &'a VthiConfig),
     chip_seeds: [u64; 3],
@@ -107,7 +107,7 @@ impl<'a> WearGrid<'a> {
     /// A grid hiding with `hide` on chips `chip_seeds`; class (pec, hidden)
     /// fills from `seed_base + pec * 10_000 + hidden * 1_000`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         profile: &'a ChipProfile,
         hide: (&'a HidingKey, &'a VthiConfig),
         chip_seeds: [u64; 3],
@@ -117,7 +117,7 @@ impl<'a> WearGrid<'a> {
     }
 
     /// The three chips' feature sets for one class.
-    pub fn features(&mut self, pec: u32, hidden: bool) -> &[Vec<Vec<f64>>; 3] {
+    pub(crate) fn features(&mut self, pec: u32, hidden: bool) -> &[Vec<Vec<f64>>; 3] {
         let rng_seed = self.seed_base + u64::from(pec) * 10_000 + u64::from(hidden) * 1_000;
         let (profile, hide, chip_seeds) = (self.profile, self.hide, self.chip_seeds);
         self.cache.entry((pec, hidden)).or_insert_with(|| {
@@ -127,7 +127,7 @@ impl<'a> WearGrid<'a> {
 
     /// Writes the grid: a header row, then one row per normal PEC with the
     /// held-out accuracy (%) against each hidden PEC.
-    pub fn write(&mut self, r: &mut Run) {
+    pub(crate) fn write(&mut self, r: &mut Run) {
         r.row(
             std::iter::once("normal_pec".to_owned())
                 .chain(HIDDEN_PECS.iter().map(|p| format!("hidden_pec_{p}"))),

@@ -17,7 +17,7 @@ pub type Experiment = (&'static str, fn(&mut Run));
 /// name, in [`EXPERIMENTS`].
 macro_rules! experiments {
     ($($name:ident),* $(,)?) => {
-        $(pub mod $name;)*
+        $(mod $name;)*
 
         /// Every experiment, in the order the README lists them.
         pub const EXPERIMENTS: &[Experiment] = &[$((stringify!($name), $name::run)),*];

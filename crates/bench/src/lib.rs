@@ -28,12 +28,12 @@ use stash_flash::{
     BitErrorStats, BitPattern, BlockId, ChipProfile, Geometry, Histogram, NandDevice, PageId,
 };
 use stash_obs::{span, TraceReport, Tracer};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use vthi::{Hider, PageEncodeReport, VthiConfig};
 
 /// Appends one formatted line to a [`Run`]'s output, like `println!`
 /// does to stdout (`outln!(r)` appends an empty line).
-#[macro_export]
 macro_rules! outln {
     ($run:expr) => {
         $run.out.push('\n')
@@ -43,6 +43,7 @@ macro_rules! outln {
         let _ = writeln!($run.out, $($arg)*);
     }};
 }
+pub(crate) use outln;
 
 /// How large a run is: the paper's sizes, or the scaled-down sizes of the
 /// smoke recipes and the determinism test (`reproduce --smoke`). Shapes
@@ -64,7 +65,7 @@ impl Scale {
         }
     }
 
-    /// Page size of [`short_block_profile`]: 18048 bytes, 1024 smoke.
+    /// Page size of the short-block profile: 18048 bytes, 1024 smoke.
     #[must_use]
     pub fn page_bytes(self) -> usize {
         self.pick(18048, 1024)
@@ -117,7 +118,7 @@ impl Run {
 
     /// Writes one TSV row per voltage level in `lo..=hi`: the level, then
     /// each histogram's percentage of cells at that level.
-    pub fn level_rows<H: std::borrow::Borrow<Histogram>>(&mut self, lo: u8, hi: u8, hists: &[H]) {
+    pub(crate) fn level_rows<H: Borrow<Histogram>>(&mut self, lo: u8, hi: u8, hists: &[H]) {
         for level in lo..=hi {
             let mut cells = vec![level.to_string()];
             cells.extend(hists.iter().map(|h| f(h.borrow().pct(level), 4)));
@@ -131,7 +132,7 @@ impl Run {
 /// cost. Used by the BER-oriented figures (6, 7, 8, 11) and Table 1.
 /// [`Scale::Smoke`] shrinks the page to 1024 bytes.
 #[must_use]
-pub fn short_block_profile(scale: Scale) -> ChipProfile {
+pub(crate) fn short_block_profile(scale: Scale) -> ChipProfile {
     let mut profile = ChipProfile::vendor_a();
     profile.geometry =
         Geometry { blocks_per_chip: 64, pages_per_block: 16, page_bytes: scale.page_bytes() };
@@ -263,7 +264,7 @@ pub fn block_histograms<D: NandDevice>(
 /// Probes pages and splits their cells' levels by the public bit stored in
 /// each: `(erased, programmed)`. One probe buffer is reused across pages —
 /// no per-page `Vec<Level>` allocation.
-pub fn page_histograms<'a, D: NandDevice>(
+pub(crate) fn page_histograms<'a, D: NandDevice>(
     chip: &mut D,
     pages: impl IntoIterator<Item = (PageId, &'a BitPattern)>,
 ) -> (Histogram, Histogram) {
@@ -364,7 +365,7 @@ impl BenchMeter {
 
     /// Records one deterministic array field, one pre-rendered JSON row per
     /// line (same promise as [`record_json`](Self::record_json)).
-    pub fn record_rows(&mut self, key: &str, rows: &[String]) {
+    pub(crate) fn record_rows(&mut self, key: &str, rows: &[String]) {
         self.record_json(key, &format!("[\n{}\n    ]", rows.join(",\n")));
     }
 
