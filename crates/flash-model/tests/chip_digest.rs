@@ -1,12 +1,14 @@
 //! Byte-level regression digest of the chip's noise-consuming paths.
 //!
 //! A fixed operation mix runs on a tiny and on a full-width (144,384-cell
-//! page) geometry. Every output (probe levels, read bits, sweep and batched
+//! page) geometry, and a shorter one on a block too large for the coupling
+//! cache. Every output (probe levels, read bits, sweep and batched
 //! results) and the final `save_state` bytes, which hold every cell voltage,
 //! the RNG words, the cached Gaussian spare and the meter, are folded into
 //! CRC-32 digests. The expected constants were captured before the bracketed
-//! value fills landed, so any change to a voltage, an output, the stream
-//! position or a meter field fails here.
+//! value fills landed (the large block's before the chunked coupling fill),
+//! so any change to a voltage, an output, the stream position or a meter
+//! field fails here.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash_flash::{
@@ -172,4 +174,38 @@ fn recycled_block_buffers_match_fresh_ones() {
             fresh.discard_block_state(BlockId(b)).unwrap();
         }
     }
+}
+
+#[test]
+fn uncached_coupling_digest_is_unchanged() {
+    // 117 full-width pages put the block over the coupling cache's size
+    // limit, so every interference bump derives its cell's coupling latent
+    // on the fly. A handful of programs, a PP step, probes and reads on
+    // the touched wordlines cover that walk.
+    let mut profile = ChipProfile::vendor_a();
+    profile.geometry = Geometry { blocks_per_chip: 1, pages_per_block: 117, page_bytes: 18048 };
+    let cells = profile.geometry.cells_per_page();
+    let mut chip = Chip::new(profile, 13);
+    let mut rng = SmallRng::seed_from_u64(13);
+    let mut out = Vec::new();
+    let mut levels = Vec::new();
+    let page = |p: u32| PageId::new(BlockId(0), p);
+    chip.erase_block(BlockId(0)).unwrap();
+    for p in [0, 1, 3, 116] {
+        chip.program_page(page(p), &BitPattern::random_half(&mut rng, cells)).unwrap();
+    }
+    chip.partial_program(page(1), &sparse_mask(&mut rng, cells, 97)).unwrap();
+    for p in [0, 1, 2, 3, 4, 5, 114, 116] {
+        chip.probe_voltages_into(page(p), &mut levels).unwrap();
+        out.extend_from_slice(&levels);
+        out.extend_from_slice(chip.read_page(page(p)).unwrap().as_bytes());
+    }
+    let mut w = StateWriter::new();
+    chip.save_state(&mut w);
+    let digest = Digest {
+        outputs: crc32(&out),
+        state: crc32(&w.into_bytes()),
+        ops: chip.meter().total_ops(),
+    };
+    assert_eq!(digest, Digest { outputs: 0x1C13_BC41, state: 0xA6E2_E72F, ops: 22 });
 }
