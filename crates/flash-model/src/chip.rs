@@ -1001,10 +1001,8 @@ impl Chip {
         }
         let cap = self.profile.interference.coupling_cap;
         let mut cache = self.recycled.coupling.take().unwrap_or_default();
-        cache.clear();
-        cache.extend(
-            (0..cells).map(|c| latent::coupling(self.seed, b.0, c, median, sigma_ln, cap) as f32),
-        );
+        cache.resize(cells, 0.0);
+        latent::fill_coupling(self.seed, b.0, median, sigma_ln, cap, &mut cache);
         self.blocks[b.0 as usize].coupling_cache = Some(cache);
     }
 
