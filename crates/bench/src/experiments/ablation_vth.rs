@@ -18,9 +18,10 @@ pub fn run(r: &mut Run) {
     let key = experiment_key();
     let profile = short_block_profile(r.scale);
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Ablation: hidden threshold Vth — capacity vs reliability",
-        &format!("{BLOCKS} blocks per point; 256 hidden bits/page; 18048-byte pages"),
+        &format!("{BLOCKS} blocks per point; 256 hidden bits/page; {page_bytes}-byte pages"),
     );
     r.row(
         ["vth", "natural_above_pct", "stealth_budget_bits_per_page", "hidden_ber_at_10_steps"]

@@ -67,9 +67,10 @@ pub fn run(r: &mut Run) {
         line
     });
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Figure 11: normalized retention BER (vs zero time)",
-        &format!("{BLOCKS} blocks per wear level; 256 hidden bits/page; 18048-byte pages"),
+        &format!("{BLOCKS} blocks per wear level; 256 hidden bits/page; {page_bytes}-byte pages"),
     );
     r.row(["period", "kind", "PEC0", "PEC1000", "PEC2000"].map(String::from));
     let labels = ["1day", "1month", "4month"];

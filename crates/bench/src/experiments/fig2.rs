@@ -29,9 +29,10 @@ pub fn run(r: &mut Run) {
         page_programmed.push(pp);
     }
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Figure 2: voltage distributions of four samples of the same chip model",
-        "geometry: 18048-byte pages, 16-page blocks; pseudorandom data at PEC 1",
+        &format!("geometry: {page_bytes}-byte pages, 16-page blocks; pseudorandom data at PEC 1"),
     );
     outln!(r);
     for (title, lo, hi, hists) in [

@@ -26,9 +26,10 @@ pub fn run(r: &mut Run) {
         programmed_h.push(p);
     }
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Figure 3: distributions shift right with wear (same physical block)",
-        "geometry: 18048-byte pages, 16-page blocks",
+        &format!("geometry: {page_bytes}-byte pages, 16-page blocks"),
     );
     outln!(r);
     for (title, lo, hi, hists) in

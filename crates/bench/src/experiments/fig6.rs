@@ -32,11 +32,12 @@ pub fn run(r: &mut Run) {
     let key = experiment_key();
     let profile = short_block_profile(r.scale);
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Figure 6: hidden BER vs partial-program steps",
         &format!(
             "combinations: intervals {INTERVALS:?} x hidden bits {BITS:?}; \
-             {BLOCKS} blocks each; 18048-byte pages"
+             {BLOCKS} blocks each; {page_bytes}-byte pages"
         ),
     );
 

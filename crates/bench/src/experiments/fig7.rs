@@ -23,9 +23,10 @@ pub fn run(r: &mut Run) {
     let key = experiment_key();
     let profile = short_block_profile(r.scale);
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "Figure 7: hidden BER at 10 PP steps vs page interval",
-        &format!("{BLOCKS} blocks per point; 18048-byte pages"),
+        &format!("{BLOCKS} blocks per point; {page_bytes}-byte pages"),
     );
     r.row(["page_interval", "bits32", "bits128", "bits512"].map(String::from));
 

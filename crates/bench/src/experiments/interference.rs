@@ -16,9 +16,10 @@ pub fn run(r: &mut Run) {
     let profile = short_block_profile(r.scale);
     let mut rng = rng(63);
 
+    let page_bytes = r.scale.page_bytes();
     r.header(
         "§6.3: public-data BER vs page interval",
-        &format!("{BLOCKS} blocks per point; 18048-byte pages; 256 hidden bits/page"),
+        &format!("{BLOCKS} blocks per point; {page_bytes}-byte pages; 256 hidden bits/page"),
     );
 
     // Baseline: no hiding at all.
