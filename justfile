@@ -9,13 +9,16 @@ verify:
 
 # The CI gate: no registry package in the lockfile (every crates.io name
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
-# full workspace test suite, docs with warnings denied, bench smoke, and
-# the committed results/ against a fresh run of the fast experiments.
+# full workspace test suite, the benchmark's own unit tests (they pin
+# BENCHMARK.json's metric list against the code), docs with warnings
+# denied, bench smoke, and the committed results/ against a fresh run of
+# the fast experiments.
 ci:
     if grep -n '^source = ' Cargo.lock; then echo "Cargo.lock names a registry package" >&2; exit 1; fi
     cargo fmt --all --check
     cargo clippy --workspace --all-targets --locked -- -D warnings
     cargo test -q --workspace --locked
+    cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked
     just bench-smoke
     just crash-smoke
