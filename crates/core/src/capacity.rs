@@ -7,7 +7,6 @@
 //! the conservative default).
 
 use crate::config::VthiConfig;
-use crate::select::SelectionMode;
 use stash_flash::{BitPattern, Level, NandDevice, PageId};
 
 /// The fraction of naturally-above-threshold cells the planner is willing
@@ -97,12 +96,6 @@ pub fn block_admits<D: NandDevice + ?Sized>(
     }
     let hidden_total = cfg.used_bits_per_page() * publics.len();
     Ok(above_total >= hidden_total)
-}
-
-/// Re-exported for use in planners: the selection mode does not change
-/// capacity math, only robustness (see [`SelectionMode`]).
-pub fn capacity_independent_of_mode(_: SelectionMode) -> bool {
-    true
 }
 
 #[cfg(test)]

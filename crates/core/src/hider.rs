@@ -6,9 +6,7 @@ use crate::payload::{decode_payload, encode_payload};
 use crate::recovery::{offset_level, RetryPolicy};
 use crate::select::{page_stream_id, select_hidden_cells, SelectionMode};
 use stash_crypto::HidingKey;
-use stash_flash::{
-    BitErrorStats, BitPattern, BlockId, Chip, CmdResult, Level, NandCmd, NandDevice, PageId,
-};
+use stash_flash::{BitErrorStats, BitPattern, BlockId, Chip, Level, NandDevice, PageId};
 use stash_obs::{span, Tracer};
 use std::sync::Arc;
 
@@ -29,15 +27,6 @@ pub struct PageEncodeReport {
     pub stored_bits: Vec<bool>,
     /// Absolute cell offsets carrying those bits.
     pub cells: Vec<usize>,
-}
-
-/// Outcome of hiding across a block.
-#[derive(Debug, Clone)]
-pub struct BlockEncodeReport {
-    /// Per-page reports, in page order.
-    pub pages: Vec<PageEncodeReport>,
-    /// Payload bytes hidden in the block.
-    pub payload_bytes: usize,
 }
 
 /// The hiding user's handle on a device: owns the key and configuration and
@@ -307,47 +296,6 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         }
     }
 
-    /// Hides a block-sized payload: consecutive hidden pages are spaced by
-    /// the configured page interval, and each page carries
-    /// [`VthiConfig::payload_bytes_per_page`] bytes.
-    ///
-    /// `publics` must hold one pattern per *hidden* page, in order; those
-    /// pages are programmed as part of hiding. (Pages in between are left to
-    /// the caller — the normal user owns them.)
-    ///
-    /// # Errors
-    ///
-    /// Fails when the payload exceeds the block's hidden capacity or any
-    /// page operation fails.
-    pub fn hide_in_block(
-        &mut self,
-        block: BlockId,
-        publics: &[BitPattern],
-        payload: &[u8],
-    ) -> crate::Result<BlockEncodeReport> {
-        let per_page = self.cfg.payload_bytes_per_page();
-        let stride = self.cfg.page_stride();
-        let pages_needed = payload.len().div_ceil(per_page);
-        let geometry = *self.chip.geometry();
-        let available = self.cfg.hidden_pages_per_block(&geometry) as usize;
-        if pages_needed > available || pages_needed > publics.len() {
-            return Err(HideError::PayloadLength {
-                expected: per_page * available.min(publics.len()),
-                got: payload.len(),
-            });
-        }
-
-        let mut reports = Vec::with_capacity(pages_needed);
-        for (i, chunk) in payload.chunks(per_page).enumerate() {
-            let page = PageId::new(block, i as u32 * stride);
-            let mut padded = chunk.to_vec();
-            padded.resize(per_page, 0);
-            let rep = self.hide_on_fresh_page(page, &publics[i], &padded)?;
-            reports.push(rep);
-        }
-        Ok(BlockEncodeReport { pages: reports, payload_bytes: payload.len() })
-    }
-
     /// Recovers the hidden payload from one page with a single shifted read
     /// (plus a standard read for the public pattern when the caller does not
     /// supply it).
@@ -455,59 +403,6 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         Ok(expected.iter().zip(read_bits).filter(|(a, b)| a != b).count())
     }
 
-    /// Recovers a block-sized payload hidden by
-    /// (`Self::hide_in_block`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on flash errors or unrecoverable ECC corruption.
-    pub fn reveal_block(&mut self, block: BlockId, payload_len: usize) -> crate::Result<Vec<u8>> {
-        let per_page = self.cfg.payload_bytes_per_page();
-        let stride = self.cfg.page_stride();
-        let pages = payload_len.div_ceil(per_page);
-        if !self.retry.vth_sweep.is_empty() {
-            // Recovery sweeps re-read adaptively per page; keep per-page
-            // dispatch so each decode can stop sweeping as soon as it wins.
-            let mut out = Vec::with_capacity(pages * per_page);
-            for i in 0..pages {
-                let page = PageId::new(block, i as u32 * stride);
-                out.extend(self.reveal_page(page, None)?);
-            }
-            out.truncate(payload_len);
-            return Ok(out);
-        }
-        // One batch for the whole block: each hidden page contributes its
-        // public read and its shifted decode read back to back. On an array
-        // the batch runs on the owning chip.
-        let vth = self.cfg.vth;
-        let cmds: Vec<NandCmd> = (0..pages)
-            .flat_map(|i| {
-                let page = PageId::new(block, i as u32 * stride);
-                [NandCmd::ReadPage(page), NandCmd::ReadPageShifted(page, vth)]
-            })
-            .collect();
-        let mut results = self.chip.exec(&cmds).into_iter();
-        let geometry = *self.chip.geometry();
-        let mut out = Vec::with_capacity(pages * per_page);
-        for i in 0..pages {
-            let page = PageId::new(block, i as u32 * stride);
-            let _decode = span!(self.tracer, "decode_page", "page={page}");
-            let public = match results.next() {
-                Some(CmdResult::Bits(r)) => r?,
-                _ => unreachable!("ReadPage returns Bits"),
-            };
-            let shifted = match results.next() {
-                Some(CmdResult::Bits(r)) => r?,
-                _ => unreachable!("ReadPageShifted returns Bits"),
-            };
-            let bits = self.hidden_bits_from(page, &public, &shifted)?;
-            let stream = page_stream_id(&geometry, page);
-            out.extend(decode_payload(&self.key, &self.cfg, stream, &bits)?);
-        }
-        out.truncate(payload_len);
-        Ok(out)
-    }
-
     /// Reads the raw hidden cell bits of a page (no ECC/decryption) — the
     /// primitive behind every BER experiment.
     ///
@@ -541,20 +436,8 @@ impl<'c, D: NandDevice> Hider<'c, D> {
                 self.hidden_bits_from(page, public, &shifted)
             }
             None => {
-                // The public read and the shifted decode read hit the same
-                // page back to back, as one two-command batch.
-                let mut results = self
-                    .chip
-                    .exec(&[NandCmd::ReadPage(page), NandCmd::ReadPageShifted(page, vref)])
-                    .into_iter();
-                let public = match results.next() {
-                    Some(CmdResult::Bits(r)) => r?,
-                    _ => unreachable!("ReadPage returns Bits"),
-                };
-                let shifted = match results.next() {
-                    Some(CmdResult::Bits(r)) => r?,
-                    _ => unreachable!("ReadPageShifted returns Bits"),
-                };
+                let public = self.chip.read_page(page)?;
+                let shifted = self.chip.read_page_shifted(page, vref)?;
                 self.hidden_bits_from(page, &public, &shifted)
             }
         }
@@ -802,46 +685,6 @@ mod tests {
     // Helper: the public pattern must not depend on hider RNG state.
     fn c_seedless(h: &Hider<'_>) -> Chip {
         Chip::new(h.chip().profile().clone(), h.chip().seed())
-    }
-
-    #[test]
-    fn block_roundtrip_with_interval() {
-        let mut c = chip();
-        let cfg = cfg(&c);
-        let per = cfg.payload_bytes_per_page();
-        let payload: Vec<u8> = (0..per * 3 + 1).map(|i| (i % 256) as u8).collect();
-        // Seed 9, not 7: this roundtrip runs at the ECC budget's edge by
-        // design (stride-spaced pages, no retries), and seed 7's random
-        // publics happen to leave one raw bit error past what the per-page
-        // ECC can absorb. Any seed whose publics stay inside the budget
-        // exercises the same interval logic.
-        let mut rng = SmallRng::seed_from_u64(9);
-        let publics: Vec<BitPattern> = (0..4)
-            .map(|_| BitPattern::random_half(&mut rng, c.geometry().cells_per_page()))
-            .collect();
-        let mut h = Hider::new(&mut c, key(), cfg.clone());
-        h.chip_mut().erase_block(BlockId(1)).unwrap();
-        let rep = h.hide_in_block(BlockId(1), &publics, &payload).unwrap();
-        assert_eq!(rep.pages.len(), 4);
-        // Hidden pages are spaced by the stride.
-        assert_eq!(rep.pages[1].page.page, cfg.page_stride());
-        let back = h.reveal_block(BlockId(1), payload.len()).unwrap();
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn oversized_block_payload_rejected() {
-        let mut c = chip();
-        let cfg = cfg(&c);
-        let too_big = vec![
-            0u8;
-            cfg.payload_bytes_per_page()
-                * (cfg.hidden_pages_per_block(c.geometry()) as usize + 1)
-        ];
-        let mut h = Hider::new(&mut c, key(), cfg);
-        h.chip_mut().erase_block(BlockId(0)).unwrap();
-        let err = h.hide_in_block(BlockId(0), &[], &too_big).unwrap_err();
-        assert!(matches!(err, HideError::PayloadLength { .. }));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod select;
 pub use capacity::{shannon_capacity_bits, PageCapacity};
 pub use config::{EccChoice, VthiConfig};
 pub use error::HideError;
-pub use hider::{BlockEncodeReport, Hider, PageEncodeReport};
+pub use hider::{Hider, PageEncodeReport};
 pub use mlc::{MlcHideConfig, MlcHider};
 pub use perf::{HidingThroughput, PAPER_PAGES_PER_BLOCK_S8};
 pub use placement::WearPlan;

@@ -15,12 +15,10 @@
 //! * With N=1 the array is a pure pass-through: same addresses, same RNG
 //!   draws, same meter — byte-identical to driving the inner chip directly
 //!   (locked in by `tests/backend_parity.rs`).
-//! * [`exec`](NandDevice::exec) fans each batch out per chip in parallel
-//!   (via `stash-par`), preserving per-chip command order; results are
-//!   scattered back to their original batch positions, so the output is
-//!   identical to scalar in-order dispatch for any thread count. Device-wide
-//!   commands ([`NandCmd::AgeDays`], [`NandCmd::AdvanceTimeUs`]) act as
-//!   barriers between parallel segments and are applied to every chip.
+//! * The array dispatches one call at a time: each method routes to the
+//!   owning chip, and device-wide calls (aging, waits) go to every chip in
+//!   address order. [`exec`](NandDevice::exec) is the trait's sequential
+//!   loop over those methods.
 //! * The aggregate meter is the per-chip sum: `device_time_us` is total
 //!   chip-busy time across the array (not wall-clock makespan), and
 //!   device-wide waits/aging are billed once per chip.
@@ -30,13 +28,13 @@
 
 use crate::bits::BitPattern;
 use crate::chip::Chip;
-use crate::device::{NandCmd, NandDevice, WearSummary};
+use crate::device::{NandDevice, WearSummary};
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PageId};
 use crate::meter::{FaultKind, MeterSnapshot, OpKind};
 use crate::profile::ChipProfile;
 use crate::recorder::{SharedFlightSink, SharedRecorder};
-use crate::{CmdResult, Level, Result};
+use crate::{Level, Result};
 
 /// Per-chip seed stride for [`ArrayDevice::homogeneous`]: chip `i` gets
 /// `seed ^ (i * STRIDE)`, so chip 0 keeps the caller's seed (N=1 parity)
@@ -140,96 +138,6 @@ impl<D: NandDevice> ArrayDevice<D> {
         let (c, lb) = self.locate_block(p.block);
         (c, PageId::new(lb, p.page))
     }
-
-    /// Rewrites a command's address into chip-local space, returning the
-    /// owning chip. Device-wide commands never reach this (the exec segment
-    /// loop applies them to every chip).
-    fn translate_cmd(&self, cmd: &NandCmd) -> (usize, NandCmd) {
-        match cmd {
-            NandCmd::EraseBlock(b) => {
-                let (c, lb) = self.locate_block(*b);
-                (c, NandCmd::EraseBlock(lb))
-            }
-            NandCmd::CycleBlock(b, n) => {
-                let (c, lb) = self.locate_block(*b);
-                (c, NandCmd::CycleBlock(lb, *n))
-            }
-            NandCmd::ProgramPage(p, data) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ProgramPage(lp, data.clone()))
-            }
-            NandCmd::PartialProgram(p, mask) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::PartialProgram(lp, mask.clone()))
-            }
-            NandCmd::FinePartialProgram(p, mask, target) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::FinePartialProgram(lp, mask.clone(), *target))
-            }
-            NandCmd::ReadPage(p) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ReadPage(lp))
-            }
-            NandCmd::ReadPageShifted(p, vref) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ReadPageShifted(lp, *vref))
-            }
-            NandCmd::ReadPageSweep(p, vrefs) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ReadPageSweep(lp, vrefs.clone()))
-            }
-            NandCmd::ReadSpare(p) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ReadSpare(lp))
-            }
-            NandCmd::ProbeVoltages(p) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ProbeVoltages(lp))
-            }
-            NandCmd::StressCells(p, mask, cycles) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::StressCells(lp, mask.clone(), *cycles))
-            }
-            NandCmd::ProgramTimeProbe(p, steps) => {
-                let (c, lp) = self.locate_page(*p);
-                (c, NandCmd::ProgramTimeProbe(lp, *steps))
-            }
-            NandCmd::MarkBad(b) => {
-                let (c, lb) = self.locate_block(*b);
-                (c, NandCmd::MarkBad(lb))
-            }
-            NandCmd::GrowBadBlock(b) => {
-                let (c, lb) = self.locate_block(*b);
-                (c, NandCmd::GrowBadBlock(lb))
-            }
-            NandCmd::DiscardBlockState(b) => {
-                let (c, lb) = self.locate_block(*b);
-                (c, NandCmd::DiscardBlockState(lb))
-            }
-            NandCmd::AgeDays(_) | NandCmd::AdvanceTimeUs(_) => {
-                unreachable!("device-wide commands are handled by the segment loop")
-            }
-        }
-    }
-
-    /// Applies a device-wide command to every chip.
-    fn apply_global(&mut self, cmd: &NandCmd) -> CmdResult {
-        match cmd {
-            NandCmd::AgeDays(days) => {
-                for chip in &mut self.chips {
-                    chip.age_days(*days);
-                }
-                CmdResult::Unit(Ok(()))
-            }
-            NandCmd::AdvanceTimeUs(us) => {
-                for chip in &mut self.chips {
-                    chip.advance_time_us(*us);
-                }
-                CmdResult::Unit(Ok(()))
-            }
-            other => unreachable!("{other:?} is not a device-wide command"),
-        }
-    }
 }
 
 impl ArrayDevice<Chip> {
@@ -244,12 +152,6 @@ impl ArrayDevice<Chip> {
             .collect();
         Self::new(chips)
     }
-}
-
-/// True for commands that address the whole device rather than one block or
-/// page; the exec segment loop applies these to every chip in order.
-fn is_device_wide(cmd: &NandCmd) -> bool {
-    matches!(cmd, NandCmd::AgeDays(_) | NandCmd::AdvanceTimeUs(_))
 }
 
 /// Rewrites chip-local addresses inside an error back into global array
@@ -273,22 +175,7 @@ fn rebase_error(e: FlashError, base: u32) -> FlashError {
     }
 }
 
-/// [`rebase_error`] applied inside a [`CmdResult`].
-fn rebase_result(r: CmdResult, base: u32) -> CmdResult {
-    if base == 0 {
-        return r;
-    }
-    match r {
-        CmdResult::Unit(res) => CmdResult::Unit(res.map_err(|e| rebase_error(e, base))),
-        CmdResult::Bits(res) => CmdResult::Bits(res.map_err(|e| rebase_error(e, base))),
-        CmdResult::Sweep(res) => CmdResult::Sweep(res.map_err(|e| rebase_error(e, base))),
-        CmdResult::Spare(res) => CmdResult::Spare(res.map_err(|e| rebase_error(e, base))),
-        CmdResult::Levels(res) => CmdResult::Levels(res.map_err(|e| rebase_error(e, base))),
-        CmdResult::Steps(res) => CmdResult::Steps(res.map_err(|e| rebase_error(e, base))),
-    }
-}
-
-impl<D: NandDevice + Send> NandDevice for ArrayDevice<D> {
+impl<D: NandDevice> NandDevice for ArrayDevice<D> {
     fn geometry(&self) -> &Geometry {
         &self.geometry
     }
@@ -521,59 +408,6 @@ impl<D: NandDevice + Send> NandDevice for ArrayDevice<D> {
             .program_time_probe(lp, steps)
             .map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
     }
-
-    /// Per-chip parallel fan-out: the batch is split at device-wide
-    /// commands; inside each segment, commands partition by owning chip
-    /// (preserving per-chip order) and run concurrently via
-    /// [`stash_par::par_map`], then results scatter back to their original
-    /// positions. Output is byte-identical to scalar in-order dispatch.
-    fn exec(&mut self, cmds: &[NandCmd]) -> Vec<CmdResult> {
-        if self.chips.len() == 1 {
-            // Degenerate N=1: pure pass-through to the inner backend.
-            return self.chips[0].exec(cmds);
-        }
-        let n = self.chips.len();
-        let local_blocks = self.local_blocks;
-        let mut out: Vec<Option<CmdResult>> = (0..cmds.len()).map(|_| None).collect();
-        let mut i = 0usize;
-        while i < cmds.len() {
-            if is_device_wide(&cmds[i]) {
-                out[i] = Some(self.apply_global(&cmds[i]));
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < cmds.len() && !is_device_wide(&cmds[j]) {
-                j += 1;
-            }
-            // Partition the segment by owning chip, remembering where each
-            // command's result belongs in the batch output.
-            let mut buckets: Vec<(Vec<NandCmd>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); n];
-            for (k, cmd) in cmds[i..j].iter().enumerate() {
-                let (c, local) = self.translate_cmd(cmd);
-                buckets[c].0.push(local);
-                buckets[c].1.push(i + k);
-            }
-            let work: Vec<(usize, &mut D, Vec<NandCmd>)> = self
-                .chips
-                .iter_mut()
-                .enumerate()
-                .zip(buckets.iter_mut())
-                .filter(|(_, (batch, _))| !batch.is_empty())
-                .map(|((c, chip), (batch, _))| (c, chip, std::mem::take(batch)))
-                .collect();
-            let chip_results =
-                stash_par::par_map(work, |_, (c, chip, batch)| (c, chip.exec(&batch)));
-            for (c, results) in chip_results {
-                let base = c as u32 * local_blocks;
-                for (&slot, r) in buckets[c].1.iter().zip(results) {
-                    out[slot] = Some(rebase_result(r, base));
-                }
-            }
-            i = j;
-        }
-        out.into_iter().map(|r| r.expect("every command produced a result")).collect()
-    }
 }
 
 #[cfg(test)]
@@ -644,47 +478,18 @@ mod tests {
         let bad_page = PageId::new(on_chip1, 0);
         let data = BitPattern::zeros(arr.geometry().cells_per_page());
         assert_eq!(arr.program_page(bad_page, &data), Err(FlashError::GrownBadBlock(on_chip1)));
-    }
 
-    #[test]
-    fn exec_fans_out_and_matches_scalar_dispatch() {
-        let build_cmds = |arr: &ArrayDevice<Chip>| {
-            let local = arr.local_blocks();
-            let cells = arr.geometry().cells_per_page();
-            let mut cmds = Vec::new();
-            for c in 0..arr.chips().len() as u32 {
-                let b = BlockId(c * local);
-                let p = PageId::new(b, 0);
-                cmds.push(NandCmd::EraseBlock(b));
-                cmds.push(NandCmd::ProgramPage(p, BitPattern::zeros(cells)));
-                cmds.push(NandCmd::ReadPage(p));
-                cmds.push(NandCmd::ProbeVoltages(p));
-            }
-            cmds.push(NandCmd::AgeDays(30.0)); // device-wide barrier
-            for c in 0..arr.chips().len() as u32 {
-                let p = PageId::new(BlockId(c * local), 0);
-                cmds.push(NandCmd::ReadPageShifted(p, 90));
-            }
-            cmds
-        };
-
-        let mut batched = array(3);
-        let cmds = build_cmds(&batched);
-        let fanned = batched.exec(&cmds);
-
-        let mut scalar = array(3);
-        let seq: Vec<CmdResult> = cmds
-            .iter()
-            .map(|c| scalar.exec(std::slice::from_ref(c)))
-            .map(|mut v| v.remove(0))
-            .collect();
-
-        assert_eq!(fanned, seq);
-        assert_eq!(batched.meter(), scalar.meter());
-        for i in 0..3 {
-            assert_eq!(batched.chip_meter(i), scalar.chip_meter(i));
-        }
-        assert!(fanned.iter().all(CmdResult::is_ok));
+        // The read paths the FTL mount and hidden reveal call directly.
+        let marked = BlockId(local + 3);
+        arr.mark_bad(marked).unwrap();
+        let page = PageId::new(marked, 1);
+        let bad = Err(FlashError::BadBlock(marked));
+        assert_eq!(arr.read_page(page), bad);
+        assert_eq!(arr.read_page_shifted(page, SLC_READ_REF), bad);
+        assert_eq!(arr.read_spare(page), Err(FlashError::BadBlock(marked)));
+        let past_end = PageId::new(on_chip1, arr.geometry().pages_per_block);
+        assert_eq!(arr.read_page(past_end), Err(FlashError::PageOutOfRange(past_end)));
+        assert_eq!(arr.read_spare(past_end), Err(FlashError::PageOutOfRange(past_end)));
     }
 
     #[test]
@@ -713,7 +518,7 @@ mod tests {
     #[test]
     fn device_wide_commands_hit_every_chip() {
         let mut arr = array(3);
-        arr.exec(&[NandCmd::AdvanceTimeUs(40.0)]);
+        arr.advance_time_us(40.0);
         for i in 0..3 {
             assert!((arr.chip_meter(i).wait_time_us - 40.0).abs() < 1e-9);
         }

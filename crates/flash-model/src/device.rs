@@ -1,4 +1,4 @@
-//! The NAND command surface as a trait, plus batched command dispatch.
+//! The NAND command surface as a trait, plus sequential command dispatch.
 //!
 //! [`NandDevice`] captures the tester-level command set of [`Chip`] —
 //! erase/program/partial-program, plain and threshold-shifted reads, the
@@ -10,12 +10,11 @@
 //! power-cut middleware ([`Layer`](crate::middleware::Layer)), or a future
 //! non-NAND medium.
 //!
-//! [`NandDevice::exec`] additionally offers a batched entry point: a slice
-//! of [`NandCmd`]s is dispatched in order and each command's outcome comes
-//! back as a [`CmdResult`], the shape a command queue between a host and a
-//! device controller would have. It is a sequential loop everywhere except
-//! on an [`ArrayDevice`](crate::ArrayDevice), which fans a batch out per
-//! chip.
+//! Every backend, arrays included, is driven one direct call at a time.
+//! [`NandDevice::exec`] is a sequential loop over those calls: a slice of
+//! [`NandCmd`]s dispatched in order, each outcome a [`CmdResult`]. No
+//! library layer issues it; it is kept for wrappers outside the library
+//! that still name the command types.
 //!
 //! [`Op`] is a command with borrowed operands, the unit the middleware
 //! hooks see; [`Op::footprint`] is the one table of what each command
@@ -637,9 +636,8 @@ pub trait NandDevice {
     /// controller would implement; callers that need all-or-nothing check
     /// [`CmdResult::is_ok`] per entry.
     ///
-    /// A backend may run the batch its own way ([`ArrayDevice`](crate::ArrayDevice)
-    /// fans it out per chip) but must keep every output, RNG draw and
-    /// meter charge identical to sequential one-command-at-a-time dispatch.
+    /// An override must keep every output, RNG draw and meter charge
+    /// identical to sequential one-command-at-a-time dispatch.
     fn exec(&mut self, cmds: &[NandCmd]) -> Vec<CmdResult> {
         cmds.iter().map(|cmd| dispatch_one(self, cmd)).collect()
     }

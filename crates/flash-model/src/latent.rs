@@ -63,10 +63,12 @@ fn cell_hash(seed: u64, block: u32, cell: usize, salt: u64) -> u64 {
     splitmix64(h ^ cell as u64)
 }
 
-/// Maps a hash to a uniform in `(0, 1)` (never exactly 0 or 1).
+/// Maps a hash to a uniform in `(0, 1)` (never exactly 0 or 1). The top
+/// hash, `(2^53 − 1) + 0.5`, rounds to 2^53; the clamp keeps it below 1.0
+/// and leaves every other input's bits alone.
 #[inline]
 fn to_unit(h: u64) -> f64 {
-    ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+    (((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64).min(1.0 - f64::EPSILON / 2.0)
 }
 
 /// A standard-normal variate derived from the hash via the inverse-CDF
@@ -77,21 +79,26 @@ fn to_normal(h: u64) -> f64 {
     inverse_normal_cdf(to_unit(h))
 }
 
+/// `exp(sigma_ln · z)` for the hash's standard normal `z`: a lognormal
+/// with median 1.
+#[inline]
+fn lognormal(h: u64, sigma_ln: f64) -> f64 {
+    (sigma_ln * to_normal(h)).exp()
+}
+
 /// Per-cell interference coupling: lognormal, median `median`, log-sigma
 /// `sigma_ln`, capped at `cap`. Cells with large coupling form the positive
 /// measured-voltage tail of the erased distribution (paper Fig. 2a).
 #[inline]
 pub fn coupling(seed: u64, block: u32, cell: usize, median: f64, sigma_ln: f64, cap: f64) -> f64 {
-    let z = to_normal(cell_hash(seed, block, cell, SALT_COUPLING));
-    (median * (sigma_ln * z).exp()).min(cap)
+    (median * lognormal(cell_hash(seed, block, cell, SALT_COUPLING), sigma_ln)).min(cap)
 }
 
 /// Per-cell partial-program efficiency: lognormal with median 1. Slow cells
 /// stretch the BER-vs-PP-steps convergence (paper Fig. 6 needs ~10 steps).
 #[inline]
 pub fn pp_efficiency(seed: u64, block: u32, cell: usize, sigma_ln: f64) -> f64 {
-    let z = to_normal(cell_hash(seed, block, cell, SALT_PP_EFF));
-    (sigma_ln * z).exp()
+    lognormal(cell_hash(seed, block, cell, SALT_PP_EFF), sigma_ln)
 }
 
 /// Per-cell intrinsic program speed for the PT-HI covert channel:
@@ -464,6 +471,21 @@ mod tests {
         let len = 2 * CHUNK + 1;
         let ties = assert_fill_matches((21, 2, len), (0.5, 1.0, f64::INFINITY), 1.0);
         assert!(ties.iter().all(|&t| t == len), "{ties:?}");
+    }
+
+    #[test]
+    fn top_hash_maps_below_one_and_stays_finite() {
+        let p = to_unit(u64::MAX);
+        assert_eq!(p, 1.0 - f64::EPSILON / 2.0);
+        assert!(to_unit(u64::MAX - (1 << 11)) < p);
+        // The value behind `coupling` and `pp_efficiency` at that hash.
+        let e = lognormal(u64::MAX, 0.3);
+        assert!(e.is_finite() && e > 1.0, "{e}");
+        // The kernel's tail path agrees with the scalar inverse CDF there.
+        let mut z = [f64::NAN];
+        normals(&[p], &mut z, &mut [0u16; CHUNK]);
+        assert_eq!(z[0].to_bits(), inverse_normal_cdf(p).to_bits());
+        assert!(z[0].is_finite(), "{}", z[0]);
     }
 
     #[test]

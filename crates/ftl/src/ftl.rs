@@ -1,8 +1,6 @@
 //! The page-mapped FTL implementation.
 
-use stash_flash::{
-    crc32, BitPattern, BlockId, Chip, CmdResult, FlashError, NandCmd, NandDevice, PageId,
-};
+use stash_flash::{crc32, BitPattern, BlockId, Chip, FlashError, NandDevice, PageId};
 use stash_obs::{span, Tracer};
 use std::collections::HashMap;
 use std::fmt;
@@ -349,12 +347,9 @@ impl<D: NandDevice> Ftl<D> {
         for slot in &mut self.active {
             *slot = None;
         }
-        // One journal-scan batch for the whole device: on a multi-chip
-        // array, `exec` partitions it by chip and scans every chip in
-        // parallel (deterministic merge — results come back in command
-        // order, and replay below is ordered by the global sequence number
-        // anyway).
-        let mut spare_cmds: Vec<NandCmd> = Vec::new();
+        // Two phases: find every programmed page, then read their spares in
+        // address order (replay below is ordered by the global sequence
+        // number anyway).
         let mut spare_pages: Vec<PageId> = Vec::new();
         for b in (0..blocks_per_chip).map(BlockId) {
             if self.chip.is_grown_bad(b)? {
@@ -371,7 +366,6 @@ impl<D: NandDevice> Ftl<D> {
                 }
                 programmed += 1;
                 report.scanned_pages += 1;
-                spare_cmds.push(NandCmd::ReadSpare(page));
                 spare_pages.push(page);
             }
             if programmed > 0 {
@@ -386,11 +380,8 @@ impl<D: NandDevice> Ftl<D> {
                 report.free_blocks += 1;
             }
         }
-        for (result, &page) in self.chip.exec(&spare_cmds).into_iter().zip(&spare_pages) {
-            let spare = match result {
-                CmdResult::Spare(r) => r?,
-                _ => unreachable!("ReadSpare returns Spare"),
-            };
+        for page in spare_pages {
+            let spare = self.chip.read_spare(page)?;
             match spare.as_deref().and_then(decode_journal) {
                 Some((seq, lpn)) => candidates.push((seq, lpn, page)),
                 None => report.torn_pages += 1,
