@@ -613,9 +613,11 @@ impl Chip {
     /// [`read_page_shifted`](Self::read_page_shifted) into a caller-owned
     /// pattern: `out` is resized and refilled, so a Vth sweep or a
     /// steady-state decode loop reuses one allocation instead of paying a
-    /// fresh `BitPattern` per read. The per-cell compare evaluates a
-    /// cell's noise draw only when it could flip the outcome; results and
-    /// the RNG stream are byte-identical to the historical scalar path.
+    /// fresh `BitPattern` per read. The cells are read in chunks: each
+    /// chunk's uniforms are drawn first, a branch-free pass then decides
+    /// every cell whose noise bound cannot flip its outcome, and only the
+    /// rest get their noise draw evaluated. Results and the RNG stream are
+    /// byte-identical to the historical scalar path.
     ///
     /// # Errors
     ///

@@ -20,12 +20,15 @@
 //!   through libm. Outputs and the stream position are bit-identical to
 //!   `fill` followed by the consumer.
 //! - `Gaussian::threshold_read` only needs each cell's read outcome. It
-//!   draws the uniforms of every pair, bounds the pair's radius from the
-//!   first uniform's binary exponent, and evaluates `ln`/`sqrt`/`sin`/`cos`
-//!   only for pairs whose outcome that bound leaves open. Outputs and the
-//!   stream position are bit-identical to `fill` followed by a scalar
-//!   compare; most full-page cells sit many sigma from the reference, so
-//!   most pairs never reach the transcendental functions.
+//!   works on chunks of 512 pairs in two phases. It first draws the
+//!   chunk's uniforms in stream order. A branch-free pass then bounds each
+//!   pair's radius from its first uniform's binary exponent and decides
+//!   both cells at the ends of that bound. `ln`/`sqrt`/`sin`/`cos` run only
+//!   for the pairs whose outcome the bound leaves open, and the outcomes
+//!   are packed eight to a byte. Outputs and the stream position are
+//!   bit-identical to `fill` followed by a scalar compare; most full-page
+//!   cells sit many sigma from the reference, so most pairs never reach
+//!   the transcendental functions.
 //!
 //! `Gaussian::skip` advances the stream past draws whose values would be
 //! overwritten unread.
@@ -156,14 +159,15 @@ impl Gaussian {
     /// [`fill`](Self::fill) followed by that compare.
     ///
     /// Only the outcomes are needed, so a pair is evaluated only when its
-    /// noise could decide one of its two cells. Both variates of a pair
-    /// share the radius `r = sqrt(-2 ln u1)`, and `|r·cos|, |r·sin| ≤ r`.
-    /// [`NoiseBounds`] bounds `sigma·r` from `u1`'s binary exponent. The
-    /// rounded sum `v + t` is monotone in `t`, and `max(m, 0) < vref` is
-    /// monotone in `m`. So when a cell reads the same at `t = -bound` and
-    /// at `t = +bound`, that is its outcome for every noise the pair can
-    /// carry. An odd trailing pair is evaluated in full, since its second
-    /// variate becomes the cached spare.
+    /// noise could decide one of its two cells. The whole pairs run in
+    /// chunks of [`READ_PAIRS`], in two phases: draw the chunk's uniforms
+    /// in stream order, then decide every pair branch-free at the ends of
+    /// its noise bound ([`decide_pairs`]). Only the pairs that pass leaves
+    /// open go through [`box_muller_out_of_line`]. The outcomes are 0/1 bytes
+    /// until they are packed eight to a byte; a leading cached spare
+    /// shifts every later cell by one bit, which the packer carries from
+    /// chunk to chunk. An odd trailing pair is evaluated in full, since its
+    /// second variate becomes the cached spare.
     pub(crate) fn threshold_read<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -176,38 +180,50 @@ impl Gaussian {
         // The compare the decided outcomes stand in for (`0.0 + sigma·z` is
         // the sampler's `mean + std_dev·z` at mean 0).
         let read = |v: f32, z: f64| (f64::from(v) + (0.0 + sigma * z)).max(0.0) < vref;
-        let decide = |v: f32, bound: f64| {
-            let lo = (f64::from(v) - bound).max(0.0) < vref;
-            let hi = (f64::from(v) + bound).max(0.0) < vref;
-            (lo == hi).then_some(lo)
-        };
-        let bounds = NoiseBounds::new(sigma);
-        let mut out = BitPacker::new(bytes);
+        // Outcomes not yet packed: fewer than eight carried over, then the
+        // current chunk's.
+        let mut bits = [0u8; 2 * READ_PAIRS + 8];
+        let mut carried = 0;
+        let mut packed = 0;
+        let (mut u1, mut u2) = ([0.0; READ_PAIRS], [0.0; READ_PAIRS]);
+        let mut open = [false; READ_PAIRS];
         let mut rest = volts;
         if let (Some((&v, tail)), Some(z)) = (rest.split_first(), self.spare) {
             self.spare = None;
-            out.push(read(v, z));
+            bits[0] = u8::from(read(v, z));
+            carried = 1;
             rest = tail;
         }
-        let mut pairs = rest.chunks_exact(2);
-        for cells in &mut pairs {
-            let (a, b) = (cells[0], cells[1]);
-            let (u1, u2) = Self::uniforms(rng);
-            let decided =
-                bounds.get(u1).and_then(|bound| Some((decide(a, bound)?, decide(b, bound)?)));
-            let (bit_a, bit_b) = decided.unwrap_or_else(|| {
-                let (za, zb) = box_muller_out_of_line(u1, u2);
-                (read(a, za), read(b, zb))
-            });
-            out.push(bit_a);
-            out.push(bit_b);
+        let (paired, odd) = rest.split_at(rest.len() & !1);
+        for cells in paired.chunks(2 * READ_PAIRS) {
+            let n = cells.len() / 2;
+            for (u1, u2) in u1[..n].iter_mut().zip(&mut u2[..n]) {
+                (*u1, *u2) = Self::uniforms(rng);
+            }
+            let filled = carried + 2 * n;
+            let outcomes = &mut bits[carried..filled];
+            decide_pairs(&u1[..n], cells, sigma, vref, outcomes, &mut open[..n]);
+            for p in (0..n).filter(|&p| open[p]) {
+                let (za, zb) = box_muller_out_of_line(u1[p], u2[p]);
+                outcomes[2 * p] = u8::from(read(cells[2 * p], za));
+                outcomes[2 * p + 1] = u8::from(read(cells[2 * p + 1], zb));
+            }
+            let whole = filled / 8;
+            pack_bits(&bits[..8 * whole], &mut bytes[packed..packed + whole]);
+            packed += whole;
+            bits.copy_within(8 * whole..filled, 0);
+            carried = filled % 8;
         }
-        if let [v] = *pairs.remainder() {
+        if let [v] = *odd {
             let (first, second) = Self::pair(rng);
-            out.push(read(v, first));
+            bits[carried] = u8::from(read(v, first));
+            carried += 1;
             self.spare = Some(second);
         }
-        out.finish();
+        if carried > 0 {
+            bits[carried..8].fill(0);
+            pack_bits(&bits[..8], &mut bytes[packed..packed + 1]);
+        }
     }
 
     /// The cached spare variate, if any (snapshot support: the cache is part
@@ -501,63 +517,104 @@ fn fast_sin_cos(theta: f64) -> (f64, f64) {
     (f64::from_bits(sin_bits), f64::from_bits(cos_bits))
 }
 
-/// Upper bounds on `|sigma·z|` for both variates of a pair, indexed by the
-/// first uniform's binary exponent.
-struct NoiseBounds([f64; NoiseBounds::LEN]);
+/// Whole pairs per chunk of [`Gaussian::threshold_read`]. Its buffers
+/// (~10 KB) live on the stack, so peak memory stays flat whatever the
+/// page size. A multiple of four, so a chunk's outcomes fill whole bytes.
+const READ_PAIRS: usize = 512;
 
-impl NoiseBounds {
-    /// `Rng::gen::<f64>()` yields multiples of 2^-53, so a positive `u1`
-    /// lies in `[2^-k, 2^(1-k))` for some `k` in `1..=53`.
-    const LEN: usize = 54;
+/// An upper bound on `|sigma·z|` for both variates of a pair whose first
+/// uniform is `u1`, a positive normal number. Both variates share the
+/// radius `r = sqrt(-2 ln u1)`, and `|r·cos|, |r·sin| ≤ r`. With `u1` in
+/// `[2^-k, 2^(1-k))`, `r ≤ sqrt(2k ln 2)`. The relative margin of 1e-9
+/// covers the rounding of the computed `ln`, product and `sqrt` (a few
+/// ulps, ~1e-15) many times over.
+#[inline(always)]
+fn noise_bound(u1: f64, sigma: f64) -> f64 {
+    /// `2^52`: the low bits of its mantissa hold a small integer exactly.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    // The biased exponent as an exact f64, taken through `TWO_52`'s
+    // mantissa: AVX2 has no 64-bit integer-to-float conversion.
+    let exponent = f64::from_bits(TWO_52.to_bits() | (u1.to_bits() >> 52)) - TWO_52;
+    let k = 1023.0 - exponent;
+    sigma * (2.0 * k * std::f64::consts::LN_2).sqrt() * (1.0 + 1e-9)
+}
 
-    /// `u1 ≥ 2^-k` gives `r = sqrt(-2 ln u1) ≤ sqrt(2k ln 2)`. The relative
-    /// margin of 1e-9 covers the rounding of the computed `ln`, product and
-    /// `sqrt` (a few ulps, ~1e-15) many times over.
-    fn new(sigma: f64) -> Self {
-        NoiseBounds(std::array::from_fn(|k| {
-            sigma * ((2 * k) as f64 * std::f64::consts::LN_2).sqrt() * (1.0 + 1e-9)
-        }))
+/// Decides both cells of each pair of a [`Gaussian::threshold_read`]
+/// chunk from the pair's [`noise_bound`]. `outcomes` gets each cell's
+/// outcome at `t = -bound`, and `open[p]` says whether either cell of pair
+/// `p` reads differently at `t = +bound`. The rounded sum `v + t` is
+/// monotone in `t`, and `max(m, 0) < vref` is monotone in `m`, so the
+/// outcome of a pair that is not open holds for every noise the pair can
+/// carry. The loop is branch-free, so it vectorizes; on x86-64 it runs at
+/// the widest vector width the CPU offers, with the same IEEE operations
+/// at every width.
+fn decide_pairs(
+    u1: &[f64],
+    cells: &[f32],
+    sigma: f64,
+    vref: f64,
+    outcomes: &mut [u8],
+    open: &mut [bool],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, as just checked.
+        return unsafe { decide_pairs_avx2(u1, cells, sigma, vref, outcomes, open) };
     }
+    decide_pairs_with(u1, cells, sigma, vref, outcomes, open);
+}
 
-    /// The bound for a pair whose first uniform is `u1`, or `None` for a
-    /// `u1` finer than any the table covers.
-    #[inline]
-    fn get(&self, u1: f64) -> Option<f64> {
-        let exponent = (u1.to_bits() >> 52) as usize;
-        self.0.get(1023usize.checked_sub(exponent)?).copied()
+/// [`decide_pairs`] compiled for AVX2 (4 lanes instead of SSE2's 2).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn decide_pairs_avx2(
+    u1: &[f64],
+    cells: &[f32],
+    sigma: f64,
+    vref: f64,
+    outcomes: &mut [u8],
+    open: &mut [bool],
+) {
+    decide_pairs_with(u1, cells, sigma, vref, outcomes, open);
+}
+
+/// The body of [`decide_pairs`], inlined into each target-feature
+/// variant.
+#[inline(always)]
+fn decide_pairs_with(
+    u1: &[f64],
+    cells: &[f32],
+    sigma: f64,
+    vref: f64,
+    outcomes: &mut [u8],
+    open: &mut [bool],
+) {
+    let read = |v: f32, t: f64| (f64::from(v) + t).max(0.0) < vref;
+    let pairs = u1.iter().zip(cells.chunks_exact(2)).zip(outcomes.chunks_exact_mut(2));
+    for (((&u1, cells), outcomes), open) in pairs.zip(open) {
+        let bound = noise_bound(u1, sigma);
+        let (a, b) = (cells[0], cells[1]);
+        let (lo_a, lo_b) = (read(a, -bound), read(b, -bound));
+        outcomes[0] = u8::from(lo_a);
+        outcomes[1] = u8::from(lo_b);
+        *open = (lo_a != read(a, bound)) | (lo_b != read(b, bound));
     }
 }
 
-/// Packs bits MSB-first into a byte slice, eight at a time.
-struct BitPacker<'a> {
-    bytes: &'a mut [u8],
-    next: usize,
-    acc: u8,
-    pending: u32,
-}
-
-impl<'a> BitPacker<'a> {
-    fn new(bytes: &'a mut [u8]) -> Self {
-        BitPacker { bytes, next: 0, acc: 0, pending: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | u8::from(bit);
-        self.pending += 1;
-        if self.pending == 8 {
-            self.bytes[self.next] = self.acc;
-            self.next += 1;
-            self.acc = 0;
-            self.pending = 0;
-        }
-    }
-
-    /// Writes a partial final byte, its padding bits zero.
-    fn finish(self) {
-        if self.pending > 0 {
-            self.bytes[self.next] = self.acc << (8 - self.pending);
-        }
+/// Packs 0/1 bytes MSB-first into `out`, eight to a byte
+/// (`bits.len() == 8 * out.len()`).
+fn pack_bits(bits: &[u8], out: &mut [u8]) {
+    debug_assert_eq!(bits.len(), 8 * out.len());
+    for (byte, eight) in out.iter_mut().zip(bits.chunks_exact(8)) {
+        // Read as a little-endian word, bit 0 of byte `j` sits at bit
+        // `8j`; the multiplier moves it to bit `63 - j`. Every product
+        // term lands on a distinct bit, so nothing carries.
+        let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        *byte = (word.wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8;
     }
 }
 
@@ -669,8 +726,11 @@ mod tests {
         bytes
     }
 
-    /// Asserts that `threshold_read` gives the reference outcomes and
-    /// leaves the sampler (spare and RNG) where the reference leaves it.
+    /// Asserts that two back-to-back `threshold_read`s give the reference
+    /// outcomes, the tail byte's zero padding included, and leave the
+    /// sampler (spare and RNG) where the reference leaves it. The second
+    /// read starts from the spare the first leaves behind, so an odd
+    /// length also covers the one-bit offset a leading spare creates.
     fn assert_read_matches(volts: &[f32], sigma: f64, vref: f64, seed: u64, spare_in: bool) {
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = SmallRng::seed_from_u64(seed);
@@ -679,12 +739,15 @@ mod tests {
             a.sample(&mut rng_a);
             b.sample(&mut rng_b);
         }
-        let expected = reference_read(&mut a, &mut rng_a, volts, sigma, vref);
-        let mut got = vec![0xA5; volts.len().div_ceil(8)];
-        b.threshold_read(&mut rng_b, volts, sigma, vref, &mut got);
         let case = format!("len {} sigma {sigma} vref {vref} spare {spare_in}", volts.len());
-        assert_eq!(got, expected, "{case}");
-        assert_eq!(a.spare().map(f64::to_bits), b.spare().map(f64::to_bits), "{case}");
+        for read in 0..2 {
+            let expected = reference_read(&mut a, &mut rng_a, volts, sigma, vref);
+            // Every bit starts set, so unwritten padding would show.
+            let mut got = vec![0xFF; volts.len().div_ceil(8)];
+            b.threshold_read(&mut rng_b, volts, sigma, vref, &mut got);
+            assert_eq!(got, expected, "{case} read {read}");
+            assert_eq!(a.spare().map(f64::to_bits), b.spare().map(f64::to_bits), "{case}");
+        }
         for _ in 0..3 {
             assert_eq!(a.sample(&mut rng_a).to_bits(), b.sample(&mut rng_b).to_bits(), "{case}");
         }
@@ -701,8 +764,15 @@ mod tests {
                 _ => rng.gen_range(-5.0..260.0f32),
             })
             .collect();
-        for len in [0, 1, 2, 3, 7, 8, 9, 15, 17, 1001, 144_384] {
-            for (sigma, vref) in [(0.6, 34.0), (0.6, 0.0), (0.6, 255.0), (0.0, 34.0), (2.4, 34.0)] {
+        // A chunk holds `2 * READ_PAIRS` cells; a leading spare moves its
+        // boundaries one cell later.
+        let chunk = 2 * READ_PAIRS;
+        let lens = [0, 1, 2, 3, 7, 8, 9, 15, 17, 1001, chunk - 1, chunk, chunk + 1, chunk + 2];
+        // Sigma 0 decides every pair; sigma 1e3 leaves every pair open.
+        let settings =
+            [(0.6, 34.0), (0.6, 0.0), (0.6, 255.0), (0.0, 34.0), (2.4, 34.0), (1e3, 34.0)];
+        for len in lens.into_iter().chain([3 * chunk + 5, 144_384]) {
+            for (sigma, vref) in settings {
                 for spare_in in [false, true] {
                     assert_read_matches(&page[..len], sigma, vref, len as u64, spare_in);
                 }
@@ -712,12 +782,14 @@ mod tests {
 
     #[test]
     fn threshold_read_matches_on_cells_near_the_reference() {
-        // Cells within ±3 sigma of `vref` leave most pairs undecided by the
-        // radius bound, so the exact path carries the read.
+        // Cells within ±3 sigma, or within one level, of `vref` leave most
+        // pairs open, so the exact path carries the read.
         let mut rng = SmallRng::seed_from_u64(6);
-        for (sigma, vref) in [(0.6, 34.0), (2.4, 34.0), (0.6, 1.0), (0.6, 255.0)] {
+        let near = [(0.6, 34.0, 1.8), (2.4, 34.0, 7.2), (0.6, 1.0, 1.8), (0.6, 255.0, 1.8)];
+        let within_a_level = [(0.6, 34.0, 1.0), (0.6, 127.0, 1.0), (0.6, 255.0, 1.0)];
+        for (sigma, vref, spread) in near.into_iter().chain(within_a_level) {
             let volts: Vec<f32> =
-                (0..4099).map(|_| (vref + rng.gen_range(-3.0..3.0) * sigma) as f32).collect();
+                (0..4099).map(|_| (vref + rng.gen_range(-spread..=spread)) as f32).collect();
             for spare_in in [false, true] {
                 assert_read_matches(&volts, sigma, vref, 17, spare_in);
             }
@@ -727,15 +799,15 @@ mod tests {
     #[test]
     fn noise_bounds_cover_every_radius() {
         // The largest radius in each exponent bin comes from its smallest
-        // `u1`, 2^-k; every angle keeps `|sigma·z|` under the bound.
+        // `u1`, 2^-k; every angle keeps `|sigma·z|` under the bound. The
+        // last bin, 2^-60, is finer than any 53-bit uniform.
         for sigma in [0.6, 2.4, 1e-3] {
-            let bounds = NoiseBounds::new(sigma);
-            for k in 1..NoiseBounds::LEN as i32 {
+            for k in (1..54).chain([60]) {
                 let lowest = 2f64.powi(-k);
                 for u1 in
                     [lowest, lowest * (1.0 + f64::EPSILON), 2.0 * lowest * (1.0 - f64::EPSILON)]
                 {
-                    let bound = bounds.get(u1).expect("u1 within the table");
+                    let bound = noise_bound(u1, sigma);
                     for u2 in [0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 0.999] {
                         let (za, zb) = box_muller(u1, u2);
                         assert!((0.0 + sigma * za).abs() <= bound, "k {k} u1 {u1} u2 {u2}");
@@ -743,8 +815,6 @@ mod tests {
                     }
                 }
             }
-            // Finer than any 53-bit uniform: no bound, so the exact path runs.
-            assert_eq!(bounds.get(2f64.powi(-60)), None);
         }
     }
 
@@ -815,6 +885,107 @@ mod tests {
             let (libm_sin, libm_cos) = theta.sin_cos();
             assert!((sin - libm_sin).abs() <= FAST_REL_ERR / 100.0, "sin at {theta}");
             assert!((cos - libm_cos).abs() <= FAST_REL_ERR / 100.0, "cos at {theta}");
+        }
+    }
+
+    /// A body of [`evaluate_pairs`]: the portable one, or the AVX2 one.
+    type EvaluateBody =
+        fn(&[(f64, f64); CHUNK / 2], &mut [f64; CHUNK], &mut [f64; CHUNK / 2], usize);
+
+    /// Every body of [`evaluate_pairs`] this CPU can run.
+    fn evaluate_bodies() -> Vec<(&'static str, EvaluateBody)> {
+        let mut bodies: Vec<(&'static str, EvaluateBody)> = vec![("portable", evaluate_pairs_with)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, as just checked.
+            bodies.push(("avx2", |u, z, err, pairs| unsafe {
+                evaluate_pairs_avx2(u, z, err, pairs)
+            }));
+        }
+        bodies
+    }
+
+    /// A body of [`decide_pairs`]: the portable one, or the AVX2 one.
+    type DecideBody = fn(&[f64], &[f32], f64, f64, &mut [u8], &mut [bool]);
+
+    /// Every body of [`decide_pairs`] this CPU can run.
+    fn decide_bodies() -> Vec<(&'static str, DecideBody)> {
+        let mut bodies: Vec<(&'static str, DecideBody)> = vec![("portable", decide_pairs_with)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, as just checked.
+            bodies.push(("avx2", |u1, cells, sigma, vref, outcomes, open| unsafe {
+                decide_pairs_avx2(u1, cells, sigma, vref, outcomes, open)
+            }));
+        }
+        bodies
+    }
+
+    #[test]
+    fn evaluate_pairs_bodies_agree() {
+        let mut rng = SmallRng::seed_from_u64(34);
+        let u1s = u1_samples(&mut rng);
+        for (batch, u1s) in u1s.chunks(CHUNK / 2).enumerate() {
+            let mut uniforms = [(0.0, 0.0); CHUNK / 2];
+            for (j, (u, &u1)) in uniforms.iter_mut().zip(u1s).enumerate() {
+                let u2 = if j % 2 == 0 { rng.gen::<f64>() } else { (j % 9) as f64 / 8.0 };
+                *u = (u1, u2);
+            }
+            let outputs: Vec<_> = evaluate_bodies()
+                .into_iter()
+                .map(|(name, body)| {
+                    let (mut z, mut err) = ([f64::NAN; CHUNK], [f64::NAN; CHUNK / 2]);
+                    body(&uniforms, &mut z, &mut err, u1s.len());
+                    let bits = z.iter().chain(&err).map(|x| x.to_bits()).collect::<Vec<_>>();
+                    (name, bits)
+                })
+                .collect();
+            for (name, bits) in &outputs[1..] {
+                assert!(*bits == outputs[0].1, "{name} differs in batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn decide_pairs_bodies_agree() {
+        let mut rng = SmallRng::seed_from_u64(35);
+        let u1s = u1_samples(&mut rng);
+        let far = page_volts(2 * u1s.len(), 36);
+        for vref in [0.0, 1.0, 34.0, 127.0, 255.0] {
+            // Cells within a few levels of `vref`, interleaved with a page.
+            let cells: Vec<f32> = far
+                .iter()
+                .enumerate()
+                .map(
+                    |(i, &v)| if i % 3 == 0 { v } else { (vref + rng.gen_range(-3.0..3.0)) as f32 },
+                )
+                .collect();
+            for sigma in [0.0, 0.6, 2.4, 1e3] {
+                let outputs: Vec<_> = decide_bodies()
+                    .into_iter()
+                    .map(|(name, body)| {
+                        let mut outcomes = vec![7u8; cells.len()];
+                        let mut open = vec![false; u1s.len()];
+                        body(&u1s, &cells, sigma, vref, &mut outcomes, &mut open);
+                        (name, outcomes, open)
+                    })
+                    .collect();
+                let (_, outcomes, open) = &outputs[0];
+                let case = format!("sigma {sigma} vref {vref}");
+                for (name, other_outcomes, other_open) in &outputs[1..] {
+                    assert!(other_outcomes == outcomes && other_open == open, "{name}: {case}");
+                }
+                assert!(outcomes.iter().all(|&b| b <= 1), "{case}");
+                let opened = open.iter().filter(|&&o| o).count();
+                if sigma == 0.0 {
+                    // No noise decides every pair.
+                    assert_eq!(opened, 0, "{case}");
+                } else if sigma == 1e3 && vref > 0.0 {
+                    // A bound over 1e3 levels floors every cell's low end
+                    // and lifts its high end past 255.
+                    assert_eq!(opened, open.len(), "{case}");
+                }
+            }
         }
     }
 

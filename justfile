@@ -10,16 +10,16 @@ verify:
 # The CI gate: no registry package in either lockfile (every crates.io name
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
 # full workspace test suite, the benchmark's own unit tests (they pin
-# BENCHMARK.json's metric list against the code), docs with warnings
-# denied, bench smoke, and the committed results/ against a fresh run of
-# the fast experiments.
+# BENCHMARK.json's metric list against the code), every crate's docs,
+# private items included, with warnings denied, bench smoke, and the
+# committed results/ against a fresh run of the fast experiments.
 ci:
     if grep -n '^source = ' Cargo.lock perfbench/Cargo.lock; then echo "a lockfile names a registry package" >&2; exit 1; fi
     cargo fmt --all --check
     cargo clippy --workspace --all-targets --locked -- -D warnings
     cargo test -q --workspace --locked
     cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --workspace --locked
     just bench-smoke
     just crash-smoke
     just array-smoke
