@@ -1072,8 +1072,11 @@ impl Chip {
                     let j = usize::from(j);
                     let cell = base + chunk_no * INTERFERENCE_CHUNK + j;
                     let v = chunk[j];
-                    let c = match cache {
-                        Some(cache) => f64::from(cache[cell]),
+                    // Both walks use the coupling rounded to `f32`, so a
+                    // cell's bump does not depend on whether its block fits
+                    // the cache.
+                    let c = f64::from(match cache {
+                        Some(cache) => cache[cell],
                         None => latent::coupling(
                             seed,
                             block,
@@ -1081,8 +1084,8 @@ impl Chip {
                             median,
                             sigma_ln,
                             inter.coupling_cap,
-                        ),
-                    };
+                        ) as f32,
+                    });
                     // Coupling saturates as stored charge approaches the
                     // interference ceiling: no erased cell drifts toward
                     // the read reference however many neighbors are
