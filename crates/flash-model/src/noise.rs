@@ -162,11 +162,11 @@ impl Gaussian {
     /// noise could decide one of its two cells. The whole pairs run in
     /// chunks of [`READ_PAIRS`], in two phases: draw the chunk's uniforms
     /// in stream order, then decide every pair branch-free at the ends of
-    /// its noise bound ([`decide_pairs`]). Only the pairs that pass leaves
-    /// open go through [`box_muller_out_of_line`]. The outcomes are 0/1 bytes
-    /// until they are packed eight to a byte; a leading cached spare
-    /// shifts every later cell by one bit, which the packer carries from
-    /// chunk to chunk. An odd trailing pair is evaluated in full, since its
+    /// its noise bound ([`decide_pairs`]). Only the pairs this pass leaves
+    /// open go through [`box_muller_out_of_line`]. The outcomes are 0/1
+    /// bytes until they are packed eight to a byte; a leading cached spare
+    /// shifts every later cell by one bit, which is carried from chunk to
+    /// chunk. An odd trailing pair is evaluated in full, since its
     /// second variate becomes the cached spare.
     pub(crate) fn threshold_read<R: Rng + ?Sized>(
         &mut self,
@@ -526,8 +526,8 @@ const READ_PAIRS: usize = 512;
 /// uniform is `u1`, a positive normal number. Both variates share the
 /// radius `r = sqrt(-2 ln u1)`, and `|r·cos|, |r·sin| ≤ r`. With `u1` in
 /// `[2^-k, 2^(1-k))`, `r ≤ sqrt(2k ln 2)`. The relative margin of 1e-9
-/// covers the rounding of the computed `ln`, product and `sqrt` (a few
-/// ulps, ~1e-15) many times over.
+/// covers the rounding of the variate's computed `ln`, `sqrt` and products
+/// and of the bound's own (a few ulps, ~1e-15) many times over.
 #[inline(always)]
 fn noise_bound(u1: f64, sigma: f64) -> f64 {
     /// `2^52`: the low bits of its mantissa hold a small integer exactly.
