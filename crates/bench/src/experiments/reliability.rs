@@ -48,7 +48,7 @@ pub fn run(r: &mut Run) {
             chip2.erase_block(block).expect("erase");
             let pages = chip2.geometry().pages_per_block;
             let truth: Vec<Vec<bool>> = (0..pages)
-                .map(|p| (0..pcfg.bits_per_page).map(|i| (i * 31 + p as usize) % 2 == 0).collect())
+                .map(|p| (0..pcfg.bits_per_page).map(|i| (i * 31 + p as usize).is_multiple_of(2)).collect())
                 .collect();
             let mut ph = PthiHider::new(&mut chip2, key.clone(), pcfg.clone());
             for p in 0..pages {

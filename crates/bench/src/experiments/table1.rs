@@ -99,7 +99,7 @@ fn pthi_sample(profile: &ChipProfile, sample: usize) -> SampleMeters {
         let mut ph = PthiHider::new(&mut chip, key.clone(), pcfg.clone());
         for p in 0..pages {
             let bits: Vec<bool> =
-                (0..pcfg.bits_per_page).map(|i| (i + p as usize) % 2 == 0).collect();
+                (0..pcfg.bits_per_page).map(|i| (i + p as usize).is_multiple_of(2)).collect();
             ph.encode_page(PageId::new(BlockId(0), p), &bits).expect("encode");
         }
     }

@@ -40,7 +40,7 @@ impl BlockCode for Repetition {
         assert_eq!(data.len(), self.data_len, "data length mismatch");
         let mut out = Vec::with_capacity(self.code_len());
         for &b in data {
-            out.extend(std::iter::repeat(b).take(self.copies));
+            out.extend(std::iter::repeat_n(b, self.copies));
         }
         out
     }

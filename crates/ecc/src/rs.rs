@@ -34,7 +34,7 @@ impl ReedSolomon {
     /// Panics unless `0 < k < n <= 255` and `n - k` is even.
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k > 0 && k < n && n <= 255, "invalid RS({n},{k})");
-        assert!((n - k) % 2 == 0, "parity symbol count must be even");
+        assert!((n - k).is_multiple_of(2), "parity symbol count must be even");
         let field = GaloisField::new(8);
         // g(x) = Π_{i=1..n-k} (x − α^i)
         let mut generator: Vec<u16> = vec![1];

@@ -8,7 +8,7 @@ use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PageId};
 use crate::latent;
 use crate::meter::{FaultKind, Meter, MeterSnapshot, OpKind};
-use crate::noise::Gaussian;
+use crate::noise::{Gaussian, CHUNK};
 use crate::profile::ChipProfile;
 use crate::rng::ChipRng;
 use crate::snapshot::{DeviceState, SnapshotError, StateReader, StateWriter};
@@ -18,10 +18,6 @@ use crate::{Level, Result, SLC_READ_REF};
 /// interference purposes (programmed cells' charge dwarfs coupling bumps,
 /// so bumps are only tracked for cells below it).
 const INTERFERENCE_CEILING: f32 = 100.0;
-
-/// Cells per candidate-compaction chunk in interference (offsets fit a
-/// `u16`, and the offset buffer stays small on the stack).
-const INTERFERENCE_CHUNK: usize = 2048;
 
 /// Nominal number of fine program steps a unit-speed cell needs to reach the
 /// programmed state; the PT-HI covert channel measures deviations from it.
@@ -124,14 +120,20 @@ fn probe_levels(
     sigma: f64,
     out: &mut Vec<Level>,
 ) {
-    let mut draws = gauss.bracketed(rng, volts.len());
+    let mut draws = gauss.bracketed(rng);
+    // Copied into a chunk-sized buffer, the map's input needs no bounds
+    // check, so the map vectorizes.
+    let (mut cells, mut levels) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
     out.reserve(volts.len());
-    out.extend(volts.iter().map(|&v| {
-        draws.next_value(|z| {
-            let measured = f64::from(v) + scaled(0.0, sigma, z);
+    for volts in volts.chunks(CHUNK) {
+        let n = volts.len();
+        cells[..n].copy_from_slice(volts);
+        draws.map(&mut levels[..n], |k, z| {
+            let measured = f64::from(cells[k]) + scaled(0.0, sigma, z);
             measured.round().clamp(0.0, 255.0) as f32
-        }) as Level
-    }));
+        });
+        out.extend(levels[..n].iter().map(|&level| level as Level));
+    }
 }
 
 impl Chip {
@@ -371,11 +373,24 @@ impl Chip {
         {
             let state = self.blocks[p.block.0 as usize].state.as_mut().unwrap();
             // One draw per programmed cell, in cell order (the order the
-            // RNG-stream contract fixes).
+            // RNG-stream contract fixes), a chunk of cells at a time.
             let page = &mut state.voltages[base..base + cpp];
-            let mut draws = self.gauss.bracketed(&mut self.rng, programmed_cells);
-            for i in data.iter_zeros() {
-                page[i] = draws.next_value(|z| scaled(mean, sigma, z) as f32);
+            let mut draws = self.gauss.bracketed(&mut self.rng);
+            let (mut cells, mut volts) = ([0u32; CHUNK], [0.0f32; CHUNK]);
+            let mut zeros = data.iter_zeros();
+            loop {
+                let mut n = 0;
+                for (slot, i) in cells.iter_mut().zip(&mut zeros) {
+                    *slot = i as u32;
+                    n += 1;
+                }
+                if n == 0 {
+                    break;
+                }
+                draws.map(&mut volts[..n], |_, z| scaled(mean, sigma, z) as f32);
+                for (&i, &v) in cells[..n].iter().zip(&volts[..n]) {
+                    page[i as usize] = v;
+                }
             }
             state.page_programmed[p.page as usize] = true;
         }
@@ -704,7 +719,10 @@ impl Chip {
         }
         let profile = self.profile.clone();
         let floor = (profile.erased.mean - 3.0 * profile.erased.sigma) as f32;
-        let cpp = profile.geometry.cells_per_page();
+        let mut draws = self.gauss.bracketed(&mut self.rng);
+        let mut picked = [0u16; CHUNK];
+        let (mut volts, mut losses) = ([0.0f32; CHUNK], [0.0f64; CHUNK]);
+        let mut aged = [0.0f32; CHUNK];
         for meta in &mut self.blocks {
             let pec = meta.pec;
             let Some(state) = meta.state.as_mut() else { continue };
@@ -712,29 +730,31 @@ impl Chip {
             let to = from + days;
             let dt_frac = profile.retention_time_factor(to) - profile.retention_time_factor(from);
             let noise_sigma = profile.retention.noise_sigma * dt_frac.max(0.0).sqrt();
-            // Chunk per page: only cells above 0 draw noise, one bracketed
-            // stream per chunk (the aged voltage is monotone in the draw).
-            let total = state.voltages.len();
-            let mut start = 0usize;
-            while start < total {
-                let end = (start + cpp).min(total);
-                let charged = state.voltages[start..end].iter().filter(|&&v| v > 0.0).count();
-                let mut draws = self.gauss.bracketed(&mut self.rng, charged);
-                for cell in start..end {
-                    let v = state.voltages[cell];
-                    if v <= 0.0 {
-                        continue;
-                    }
+            // Only cells above 0 draw noise, in cell order (the aged voltage
+            // is monotone in the draw): compact each chunk's charged cells
+            // branch-free, age them, and write them back.
+            for first in (0..state.voltages.len()).step_by(CHUNK) {
+                let chunk = &state.voltages[first..(first + CHUNK).min(state.voltages.len())];
+                let mut n = 0;
+                for (j, &v) in chunk.iter().enumerate() {
+                    picked[n] = j as u16;
+                    volts[n] = v;
+                    n += usize::from(v > 0.0);
+                }
+                for (k, (&j, &v)) in picked[..n].iter().zip(&volts[..n]).enumerate() {
                     let mut loss = profile.retention_loss(f64::from(v), pec, from, to);
-                    if state.is_pp(cell) {
+                    if state.is_pp(first + usize::from(j)) {
                         loss *= profile.retention.pp_penalty;
                     }
-                    state.voltages[cell] = draws.next_value(|z| {
-                        let n = scaled(0.0, noise_sigma, z);
-                        (f64::from(v) - loss + n).max(f64::from(floor)) as f32
-                    });
+                    losses[k] = loss;
                 }
-                start = end;
+                draws.map(&mut aged[..n], |k, z| {
+                    let n = scaled(0.0, noise_sigma, z);
+                    (f64::from(volts[k]) - losses[k] + n).max(f64::from(floor)) as f32
+                });
+                for (&j, &v) in picked[..n].iter().zip(&aged[..n]) {
+                    state.voltages[first + usize::from(j)] = v;
+                }
             }
             state.aged_days = to;
         }
@@ -964,10 +984,10 @@ impl Chip {
             .collect();
 
         let state = self.blocks[b.0 as usize].state.as_mut().unwrap();
+        let mut draws = self.gauss.bracketed(&mut self.rng);
         for (page, &mean) in state.voltages.chunks_exact_mut(cpp).zip(&means) {
-            let mut draws = self.gauss.bracketed(&mut self.rng, cpp);
-            for slot in page {
-                *slot = draws.next_value(|z| scaled(mean, sigma, z) as f32);
+            for chunk in page.chunks_mut(CHUNK) {
+                draws.map(chunk, |_, z| scaled(mean, sigma, z) as f32);
             }
         }
         state.page_programmed.iter_mut().for_each(|x| *x = false);
@@ -1004,7 +1024,7 @@ impl Chip {
         let cap = self.profile.interference.coupling_cap;
         let mut cache = self.recycled.coupling.take().unwrap_or_default();
         cache.resize(cells, 0.0);
-        latent::fill_coupling(self.seed, b.0, median, sigma_ln, cap, &mut cache);
+        latent::fill_coupling(self.seed, b.0, 0, median, sigma_ln, cap, &mut cache);
         self.blocks[b.0 as usize].coupling_cache = Some(cache);
     }
 
@@ -1025,6 +1045,14 @@ impl Chip {
         self.ensure_coupling_cache(source.block, median, sigma_ln);
         let seed = self.seed;
         let block = source.block.0;
+        let mut draws = self.gauss.bracketed(&mut self.rng);
+        // Per chunk of a page: the candidates' offsets, voltages and
+        // couplings, and their bumped voltages.
+        let mut picked = [0u16; CHUNK];
+        let (mut volts, mut coupling) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+        let mut bumped = [0.0f32; CHUNK];
+        // The chunk's coupling, computed when the block has no cache.
+        let mut computed = [0.0f32; CHUNK];
 
         for (d, w) in [
             (0i64, 1.0),
@@ -1052,50 +1080,47 @@ impl Chip {
             let meta = &mut self.blocks[source.block.0 as usize];
             let cache = meta.coupling_cache.as_deref();
             let state = meta.state.as_mut().unwrap();
-            // Candidacy depends only on each cell's pre-bump voltage, so
-            // counting first and streaming the candidates' draws in cell
-            // order keeps the contract's one-draw-per-candidate order.
             let page = &mut state.voltages[base..base + cpp];
-            let candidates = page.iter().filter(|&&v| v < INTERFERENCE_CEILING).count();
-            let mut draws = self.gauss.bracketed(&mut self.rng, candidates);
-            // About half the cells are candidates, so a per-cell branch
-            // mispredicts often: compact each chunk's candidate offsets
-            // branch-free first, then walk only the candidates.
-            let mut picked = [0u16; INTERFERENCE_CHUNK];
-            for (chunk_no, chunk) in page.chunks_mut(INTERFERENCE_CHUNK).enumerate() {
+            for (chunk_no, chunk) in page.chunks_mut(CHUNK).enumerate() {
+                let first = base + chunk_no * CHUNK;
+                // Both walks use the coupling rounded to `f32`, so a cell's
+                // bump does not depend on whether its block fits the cache.
+                let chunk_coupling = match cache {
+                    Some(cache) => &cache[first..first + chunk.len()],
+                    None => {
+                        let computed = &mut computed[..chunk.len()];
+                        let cap = inter.coupling_cap;
+                        latent::fill_coupling(seed, block, first, median, sigma_ln, cap, computed);
+                        computed
+                    }
+                };
+                // Candidacy depends only on each cell's pre-bump voltage,
+                // and about half the cells are candidates, so a per-cell
+                // branch would mispredict often: compact the candidates
+                // branch-free, in cell order (one draw each, the order the
+                // RNG-stream contract fixes).
                 let mut n = 0;
-                for (j, &v) in chunk.iter().enumerate() {
+                for (j, (&v, &c)) in chunk.iter().zip(chunk_coupling).enumerate() {
                     picked[n] = j as u16;
+                    volts[n] = v;
+                    coupling[n] = c;
                     n += usize::from(v < INTERFERENCE_CEILING);
                 }
-                for &j in &picked[..n] {
-                    let j = usize::from(j);
-                    let cell = base + chunk_no * INTERFERENCE_CHUNK + j;
-                    let v = chunk[j];
-                    // Both walks use the coupling rounded to `f32`, so a
-                    // cell's bump does not depend on whether its block fits
-                    // the cache.
-                    let c = f64::from(match cache {
-                        Some(cache) => cache[cell],
-                        None => latent::coupling(
-                            seed,
-                            block,
-                            cell,
-                            median,
-                            sigma_ln,
-                            inter.coupling_cap,
-                        ) as f32,
-                    });
+                draws.map(&mut bumped[..n], |k, z| {
+                    let v = volts[k];
                     // Coupling saturates as stored charge approaches the
                     // interference ceiling: no erased cell drifts toward
                     // the read reference however many neighbors are
                     // programmed.
                     let damping = (1.0 - f64::from(v.max(0.0)) / inter.interference_saturation)
                         .clamp(0.0, 1.0);
-                    chunk[j] = draws.next_value(|z| {
-                        let bump = scaled(bump_mean, bump_sigma, z).max(0.0) * c * damping;
-                        v + bump as f32
-                    });
+                    let bump = scaled(bump_mean, bump_sigma, z).max(0.0)
+                        * f64::from(coupling[k])
+                        * damping;
+                    v + bump as f32
+                });
+                for (&j, &v) in picked[..n].iter().zip(&bumped[..n]) {
+                    chunk[usize::from(j)] = v;
                 }
             }
         }

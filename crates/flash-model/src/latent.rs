@@ -131,25 +131,27 @@ const EXP_REL_ERR: f64 = 1e-12;
 /// skipped and the cell takes the libm path.
 const EXP_LIMIT: f64 = 700.0;
 
-/// Fills `out[c]` with `coupling(seed, block, c, median, sigma_ln, cap) as
-/// f32` for every cell `c` of `out`, bit for bit (see the module docs for
-/// why the result is exact). On x86-64 CPUs with AVX2 it runs a 4-lane
-/// copy of the same loops; every width performs the same IEEE operations.
+/// Fills `out[j]` with `coupling(seed, block, first + j, median, sigma_ln,
+/// cap) as f32` for every `j`, bit for bit (see the module docs for why
+/// the result is exact). On x86-64 CPUs with AVX2 it runs a 4-lane copy of
+/// the same loops; every width performs the same IEEE operations.
 pub(crate) fn fill_coupling(
     seed: u64,
     block: u32,
+    first: usize,
     median: f64,
     sigma_ln: f64,
     cap: f64,
     out: &mut [f32],
 ) {
+    let latent = (seed, block, first);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the CPU supports AVX2, as just checked.
-        unsafe { fill_coupling_avx2(seed, block, median, sigma_ln, cap, EXP_REL_ERR, out) };
+        unsafe { fill_coupling_avx2(latent, median, sigma_ln, cap, EXP_REL_ERR, out) };
         return;
     }
-    fill_coupling_with(seed, block, median, sigma_ln, cap, EXP_REL_ERR, out);
+    fill_coupling_with(latent, median, sigma_ln, cap, EXP_REL_ERR, out);
 }
 
 /// [`fill_coupling`] compiled for AVX2 (4 lanes instead of SSE2's 2).
@@ -160,25 +162,23 @@ pub(crate) fn fill_coupling(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn fill_coupling_avx2(
-    seed: u64,
-    block: u32,
+    latent: (u64, u32, usize),
     median: f64,
     sigma_ln: f64,
     cap: f64,
     rel_err: f64,
     out: &mut [f32],
 ) -> usize {
-    fill_coupling_with(seed, block, median, sigma_ln, cap, rel_err, out)
+    fill_coupling_with(latent, median, sigma_ln, cap, rel_err, out)
 }
 
 /// The body of [`fill_coupling`], inlined into each target-feature
-/// variant. `rel_err` bounds [`fast_exp`]'s relative error; the tests
-/// raise it to force every cell onto the tie path. Returns the number of
-/// ties.
+/// variant; `latent` is its `(seed, block, first)`. `rel_err` bounds
+/// [`fast_exp`]'s relative error; the tests raise it to force every cell
+/// onto the tie path. Returns the number of ties.
 #[inline(always)]
 fn fill_coupling_with(
-    seed: u64,
-    block: u32,
+    (seed, block, first): (u64, u32, usize),
     median: f64,
     sigma_ln: f64,
     cap: f64,
@@ -193,7 +193,7 @@ fn fill_coupling_with(
     let mut tie = [false; CHUNK];
     let mut ties = 0;
     for (k, out) in out.chunks_mut(CHUNK).enumerate() {
-        let first = k * CHUNK;
+        let first = first + k * CHUNK;
         let (p, z, tie) = (&mut p[..out.len()], &mut z[..out.len()], &mut tie[..out.len()]);
         for (j, p) in p.iter_mut().enumerate() {
             *p = to_unit(splitmix64(prefix ^ (first + j) as u64));
@@ -391,7 +391,7 @@ mod tests {
     }
 
     /// A body of the fill kernel: the generic one, or the AVX2 one.
-    type Body = fn(u64, u32, f64, f64, f64, f64, &mut [f32]) -> usize;
+    type Body = fn((u64, u32, usize), f64, f64, f64, f64, &mut [f32]) -> usize;
 
     /// Every body this CPU can run.
     fn bodies() -> Vec<(&'static str, Body)> {
@@ -399,31 +399,34 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU supports AVX2, as just checked.
-            bodies.push(("avx2", |s, b, m, sg, c, e, out| unsafe {
-                fill_coupling_avx2(s, b, m, sg, c, e, out)
+            bodies.push(("avx2", |l, m, sg, c, e, out| unsafe {
+                fill_coupling_avx2(l, m, sg, c, e, out)
             }));
         }
         bodies
     }
 
-    /// Runs every body over `len` cells, asserts each matches
-    /// `coupling(..) as f32` bit for bit, and returns each body's ties.
+    /// Runs every body over `len` cells from cell `first`, asserts each
+    /// matches `coupling(..) as f32` bit for bit, and returns each body's
+    /// ties.
     fn assert_fill_matches(
-        (seed, block, len): (u64, u32, usize),
+        (seed, block, first, len): (u64, u32, usize, usize),
         (median, sigma_ln, cap): (f64, f64, f64),
         rel_err: f64,
     ) -> Vec<usize> {
-        let expected: Vec<u32> = (0..len)
+        let expected: Vec<u32> = (first..first + len)
             .map(|c| (coupling(seed, block, c, median, sigma_ln, cap) as f32).to_bits())
             .collect();
         bodies()
             .into_iter()
             .map(|(name, body)| {
                 let mut out = vec![f32::NAN; len];
-                let ties = body(seed, block, median, sigma_ln, cap, rel_err, &mut out);
+                let latent = (seed, block, first);
+                let ties = body(latent, median, sigma_ln, cap, rel_err, &mut out);
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 let case = format!(
-                    "{name}: seed {seed} block {block} len {len} median {median} sigma {sigma_ln}"
+                    "{name}: seed {seed} block {block} first {first} len {len} \
+                     median {median} sigma {sigma_ln}"
                 );
                 if let Some(c) = (0..len).find(|&c| got[c] != expected[c]) {
                     panic!(
@@ -443,10 +446,21 @@ mod tests {
         for (i, len) in lens.into_iter().enumerate() {
             let (seed, block) = (i as u64 * 977 + 3, i as u32 * 31);
             for params in [(0.1, 0.9, 6.0), (0.37, 1.25, 6.0), (1.0, 0.0, 6.0), (50.0, 1.0, 6.0)] {
-                let ties = assert_fill_matches((seed, block, len), params, EXP_REL_ERR);
+                let ties = assert_fill_matches((seed, block, 0, len), params, EXP_REL_ERR);
                 // A bracket of relative width 2e-12 straddles an f32
                 // rounding point for about one cell in 40 000.
                 assert!(ties.iter().all(|&t| t <= 10 + len / 2000), "{params:?}: {ties:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fill_from_a_first_cell_matches_the_cells_it_names() {
+        // Windows that start inside a chunk, on a chunk boundary, and far
+        // into a block over the coupling cache's limit.
+        for first in [1, CHUNK - 1, CHUNK, 2048 * 7 + 5, 37_000_000] {
+            for len in [0, 1, CHUNK - 1, CHUNK + 1, 2048] {
+                assert_fill_matches((13, 9, first, len), (0.37, 1.25, 6.0), EXP_REL_ERR);
             }
         }
     }
@@ -457,10 +471,10 @@ mod tests {
         // leave fast_exp's range, and a cap below every value.
         let len = 3 * CHUNK + 17;
         for params in [(500.0, 0.5, 6.0), (0.5, 0.0, 6.0), (0.5, 120.0, 6.0), (0.5, 1.0, 1e-30)] {
-            assert_fill_matches((11, 5, len), params, EXP_REL_ERR);
+            assert_fill_matches((11, 5, 0, len), params, EXP_REL_ERR);
         }
         // Wide sigma sends most cells past EXP_LIMIT onto the libm path.
-        let ties = assert_fill_matches((11, 5, len), (0.5, 2000.0, f64::INFINITY), EXP_REL_ERR);
+        let ties = assert_fill_matches((11, 5, 0, len), (0.5, 2000.0, f64::INFINITY), EXP_REL_ERR);
         assert!(ties.iter().all(|&t| t > len / 2), "{ties:?}");
     }
 
@@ -469,7 +483,7 @@ mod tests {
         // With a relative error bound of 1 the bracket's low end is 0, so
         // every uncapped cell straddles and takes the libm path.
         let len = 2 * CHUNK + 1;
-        let ties = assert_fill_matches((21, 2, len), (0.5, 1.0, f64::INFINITY), 1.0);
+        let ties = assert_fill_matches((21, 2, 0, len), (0.5, 1.0, f64::INFINITY), 1.0);
         assert!(ties.iter().all(|&t| t == len), "{ties:?}");
     }
 

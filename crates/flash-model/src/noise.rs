@@ -12,13 +12,14 @@
 //!   decides per draw whether a cell counts as partial-programmed.
 //! - `Gaussian::bracketed` serves consumers that map each variate to a
 //!   stored `f32` through monotone roundings (program, erase, interference,
-//!   probe, retention). It evaluates each pair with a branchless polynomial
-//!   `ln`/`sin`/`cos` and hands out an approximation with an error bound
-//!   ~450× its measured worst case. When the consumer's result has the
-//!   same bits at both ends of the bracket, that is the exact result; only
-//!   on a tie (about two per million draws) is the pair re-evaluated
-//!   through libm. Outputs and the stream position are bit-identical to
-//!   `fill` followed by the consumer.
+//!   probe, retention). The consumer asks for one chunk of draws at a time,
+//!   with no count up front. Each chunk's pairs are evaluated with a
+//!   branchless polynomial `ln`/`sin`/`cos` into brackets whose width is
+//!   ~450× the measured worst error, and the consumer's map runs at both
+//!   ends of every bracket in one branch-free loop. When both ends give the
+//!   same bits, that is the exact result; only on a tie (about two per
+//!   million draws) is the pair re-evaluated through libm. Outputs and the
+//!   stream position are bit-identical to `fill` followed by the consumer.
 //! - `Gaussian::threshold_read` only needs each cell's read outcome. It
 //!   works on chunks of 512 pairs in two phases. It first draws the
 //!   chunk's uniforms in stream order. A branch-free pass then bounds each
@@ -129,25 +130,24 @@ impl Gaussian {
         }
     }
 
-    /// A stream of the next `n` standard-normal draws for consumers that map
+    /// A chunked stream of standard-normal draws for consumers that map
     /// each variate monotonically to an `f32`; see [`BracketedNormals`].
-    /// The stream must be drained: exactly `n` calls to
-    /// [`BracketedNormals::next_value`] leave the RNG and the cached spare
-    /// exactly where [`fill`](Self::fill) of `n` variates leaves them.
+    /// The stream is not sized up front: whatever chunks are requested,
+    /// dropping the stream leaves the RNG and the cached spare exactly
+    /// where [`fill`](Self::fill) of their total leaves them.
     pub(crate) fn bracketed<'a, R: Rng + ?Sized>(
         &'a mut self,
         rng: &'a mut R,
-        n: usize,
     ) -> BracketedNormals<'a, R> {
         BracketedNormals {
             gauss: self,
             rng,
-            left: n,
-            pos: 0,
-            len: 0,
-            z: [0.0; CHUNK],
-            err: [0.0; CHUNK / 2],
-            uniforms: [(0.0, 0.0); CHUNK / 2],
+            pending: None,
+            u1: [0.0; CHUNK / 2 + 1],
+            u2: [0.0; CHUNK / 2 + 1],
+            lo: [[0.0; 2]; CHUNK / 2 + 1],
+            hi: [[0.0; 2]; CHUNK / 2 + 1],
+            tie: [false; CHUNK],
         }
     }
 
@@ -260,9 +260,19 @@ fn box_muller_out_of_line(u1: f64, u2: f64) -> (f64, f64) {
     box_muller(u1, u2)
 }
 
-/// Draws per refill of a [`BracketedNormals`] buffer. Fixed buffers keep
-/// peak memory flat whatever the page size.
-const CHUNK: usize = 2048;
+/// Draws one pair's uniforms per slot of `u1`/`u2`, in stream order (see
+/// [`Gaussian::uniforms`]). The generator and the buffers are separate
+/// arguments, so the compiler may keep the generator's state in registers
+/// for the whole loop instead of storing it after every draw.
+fn draw_uniforms<R: Rng + ?Sized>(rng: &mut R, u1: &mut [f64], u2: &mut [f64]) {
+    for (u1, u2) in u1.iter_mut().zip(u2) {
+        (*u1, *u2) = Gaussian::uniforms(rng);
+    }
+}
+
+/// The most draws one [`BracketedNormals::map`] request may take. Fixed
+/// buffers keep peak memory flat whatever the page size.
+pub(crate) const CHUNK: usize = 2048;
 
 /// Relative error bound of [`fast_ln`] and absolute error bound of
 /// [`fast_sin_cos`] against libm, with a wide margin: over 1e8 random
@@ -272,20 +282,23 @@ const CHUNK: usize = 2048;
 /// tests pin the kernels below a hundredth of this bound.
 const FAST_REL_ERR: f64 = 2e-13;
 
-/// The next `n` standard-normal draws of a [`Gaussian`] stream, handed out
-/// as brackets for monotone consumers (built by [`Gaussian::bracketed`]).
+/// A stream of standard-normal draws from a [`Gaussian`], handed out in
+/// chunks to monotone consumers (built by [`Gaussian::bracketed`]).
 ///
-/// Each pair's uniforms are drawn exactly as [`Gaussian::uniforms`] draws
-/// them, retry included, then evaluated with [`fast_ln`] and
-/// [`fast_sin_cos`] into an approximation `z_a` with a bound
-/// `E ≥ |z_a − z|` ([`FAST_REL_ERR`]), where `z` is the value
-/// [`Gaussian::fill`] would give. [`next_value`](Self::next_value)
-/// evaluates the consumer `f` at `fl(z_a − E) ≤ z` and at
-/// `fl(z_a + E) ≥ z`. When `f` is monotone and both ends give the same
-/// bits, `f(z)` has those bits too; otherwise the pair is re-evaluated by
-/// [`box_muller_out_of_line`] and `f` takes the exact variate. A leading
-/// cached spare and an odd trailing pair are evaluated exactly, so the
-/// spare left behind is exact.
+/// Each [`map`](Self::map) request draws exactly the uniforms its chunk
+/// needs, retry included, as [`Gaussian::uniforms`] draws them, and
+/// evaluates each pair with [`fast_ln`] and [`fast_sin_cos`] into a
+/// bracket `lo ≤ z ≤ hi` around the value `z` that [`Gaussian::fill`]
+/// would give: `fl(z_a ∓ E)` for an approximation `z_a` within
+/// `E = r·`[`FAST_REL_ERR`] of `z`. The consumer's map `f` runs at both
+/// ends. When `f` is monotone and both ends give the same bits, `f(z)` has
+/// those bits too; on a tie the pair is re-evaluated by
+/// [`box_muller_out_of_line`] and `f` takes the exact variate.
+///
+/// A leading cached spare is handed out first, exactly. A request of odd
+/// length leaves its last pair's second variate pending for the next
+/// request; dropping the stream caches a pending variate as the spare,
+/// evaluated exactly, as `fill` caches its odd trailing pair's.
 ///
 /// Every consumer in the chip is a chain of steps that are each monotone
 /// in their input whatever the fixed operands: `a + b·z`, `max` against a
@@ -298,109 +311,121 @@ const FAST_REL_ERR: f64 = 2e-13;
 pub(crate) struct BracketedNormals<'a, R: ?Sized> {
     gauss: &'a mut Gaussian,
     rng: &'a mut R,
-    /// Draws not yet moved into the buffer.
-    left: usize,
-    /// Next buffered draw to hand out.
-    pos: usize,
-    /// Buffered draws.
-    len: usize,
-    /// Approximate variates, a pair's `(r·cos, r·sin)` at `2p`, `2p + 1`.
-    z: [f64; CHUNK],
-    /// Per pair: the error bound of both variates, `0.0` for an exact one.
-    err: [f64; CHUNK / 2],
-    /// Per pair: the uniforms, for the exact re-evaluation of a tie.
-    uniforms: [(f64, f64); CHUNK / 2],
+    /// The uniforms of the pair whose second variate the last request left
+    /// over.
+    pending: Option<(f64, f64)>,
+    /// Per pair of the current chunk: the uniforms. A pending variate's
+    /// pair is pair 0.
+    u1: [f64; CHUNK / 2 + 1],
+    u2: [f64; CHUNK / 2 + 1],
+    /// Per pair: the low and high ends of both variates' brackets. A
+    /// leading spare or pending variate is pair 0's second variate.
+    lo: [[f64; 2]; CHUNK / 2 + 1],
+    hi: [[f64; 2]; CHUNK / 2 + 1],
+    /// Per draw of the current chunk: whether its bracket ends map apart.
+    tie: [bool; CHUNK],
 }
 
 impl<R: Rng + ?Sized> BracketedNormals<'_, R> {
-    /// `f(z)` for the next draw `z`, bit-identical to applying `f` to the
-    /// next variate of [`Gaussian::fill`]. `f` must be monotone in `z`
-    /// (either direction).
-    #[inline]
-    pub(crate) fn next_value(&mut self, f: impl Fn(f64) -> f32) -> f32 {
-        if self.pos == self.len {
-            self.refill();
-        }
-        let k = self.pos;
-        self.pos += 1;
-        let (z, err) = (self.z[k], self.err[k / 2]);
-        let lo = f(z - err);
-        if lo.to_bits() == f(z + err).to_bits() {
-            lo
-        } else {
-            f(self.exact(k))
-        }
-    }
-
-    /// The exact variate behind buffer slot `k`.
-    #[cold]
-    fn exact(&self, k: usize) -> f64 {
-        if self.err[k / 2] == 0.0 {
-            return self.z[k];
-        }
-        let (u1, u2) = self.uniforms[k / 2];
-        let (first, second) = box_muller_out_of_line(u1, u2);
-        if k % 2 == 0 {
-            first
-        } else {
-            second
-        }
-    }
-
-    /// Moves the next draws into the buffer: the cached spare, a chunk of
-    /// whole pairs, or an odd trailing pair whose second variate becomes
-    /// the new spare.
-    fn refill(&mut self) {
-        assert!(self.left > 0, "more draws taken than the stream holds");
-        self.pos = 0;
-        // The spare is cached only by the trailing pair, after which the
-        // stream is empty: a spare seen here is the leading one.
-        if let Some(z) = self.gauss.spare.take() {
-            self.set_exact(z);
+    /// Sets `out[k] = f(k, z)` for the stream's next `out.len()` draws
+    /// `z` (at most [`CHUNK`]), bit-identical to applying `f` to the
+    /// matching variates of [`Gaussian::fill`]. `f` must be monotone in
+    /// `z` (either direction) for each `k`.
+    pub(crate) fn map(&mut self, out: &mut [f32], f: impl Fn(usize, f64) -> f32) {
+        let n = out.len();
+        assert!(n <= CHUNK, "a request of {n} draws exceeds the chunk");
+        if n == 0 {
             return;
         }
-        let pairs = (self.left / 2).min(CHUNK / 2);
-        if pairs == 0 {
-            let (first, second) = Gaussian::pair(self.rng);
-            self.gauss.spare = Some(second);
-            self.set_exact(first);
-            return;
+        // The draws fill slots `start..start + n` of the pair-major
+        // buffers: a leading spare or pending variate takes slot 1.
+        let spare = self.gauss.spare.take();
+        let pending = self.pending.take();
+        let start = usize::from(spare.is_some() || pending.is_some());
+        let pairs = (start + n).div_ceil(2);
+        draw_uniforms(self.rng, &mut self.u1[start..pairs], &mut self.u2[start..pairs]);
+        if let Some((u1, u2)) = pending {
+            (self.u1[0], self.u2[0]) = (u1, u2);
         }
-        for u in &mut self.uniforms[..pairs] {
-            *u = Gaussian::uniforms(self.rng);
+        let first = usize::from(spare.is_some());
+        evaluate_pairs(
+            &self.u1[first..pairs],
+            &self.u2[first..pairs],
+            &mut self.lo[first..pairs],
+            &mut self.hi[first..pairs],
+        );
+        if let Some(z) = spare {
+            (self.lo[0][1], self.hi[0][1]) = (z, z);
         }
-        evaluate_pairs(&self.uniforms, &mut self.z, &mut self.err, pairs);
-        self.len = 2 * pairs;
-        self.left -= 2 * pairs;
-    }
-
-    /// Buffers one exactly evaluated draw.
-    fn set_exact(&mut self, z: f64) {
-        self.z[0] = z;
-        self.err[0] = 0.0;
-        self.len = 1;
-        self.left -= 1;
+        if (start + n) % 2 == 1 {
+            self.pending = Some((self.u1[pairs - 1], self.u2[pairs - 1]));
+        }
+        let slots = start..start + n;
+        let (lo, hi) = (&self.lo.as_flattened()[slots.clone()], &self.hi.as_flattened()[slots]);
+        let tie = &mut self.tie[..n];
+        if map_ends(lo, hi, out, tie, &f) {
+            for k in (0..n).filter(|&k| tie[k]) {
+                let slot = start + k;
+                let z = match spare {
+                    // Both ends of an exact draw are the draw itself.
+                    Some(z) if slot == 1 => z,
+                    _ => {
+                        let (first, second) =
+                            box_muller_out_of_line(self.u1[slot / 2], self.u2[slot / 2]);
+                        if slot % 2 == 0 {
+                            first
+                        } else {
+                            second
+                        }
+                    }
+                };
+                out[k] = f(k, z);
+            }
+        }
     }
 }
 
-/// Evaluates the first `pairs` pairs of `uniforms` with [`fast_ln`] and
-/// [`fast_sin_cos`]: the approximate variates into `z` (`r·cos`, `r·sin`
-/// at `2p`, `2p + 1`) and their shared bound into `err`. The loop is
-/// branch-free, so it vectorizes; on x86-64 it runs at the widest vector
-/// width the CPU offers. Every width performs the same IEEE operations,
-/// and the bracket makes the consumers' results exact either way.
-fn evaluate_pairs(
-    uniforms: &[(f64, f64); CHUNK / 2],
-    z: &mut [f64; CHUNK],
-    err: &mut [f64; CHUNK / 2],
-    pairs: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, as just checked.
-        return unsafe { evaluate_pairs_avx2(uniforms, z, err, pairs) };
+impl<R: ?Sized> Drop for BracketedNormals<'_, R> {
+    /// Caches a pending variate as the spare, exactly as `fill` caches the
+    /// second variate of its odd trailing pair. A leading spare that no
+    /// request took is still in place.
+    fn drop(&mut self) {
+        if let Some((u1, u2)) = self.pending.take() {
+            self.gauss.spare = Some(box_muller_out_of_line(u1, u2).1);
+        }
     }
-    evaluate_pairs_with(uniforms, z, err, pairs);
+}
+
+/// Evaluates each pair `(u1[p], u2[p])` with [`fast_ln`] and
+/// [`fast_sin_cos`] into the bracket ends `lo[p]`, `hi[p]` of its two
+/// variates `(r·cos, r·sin)`. The loop is branch-free, so it vectorizes; on
+/// x86-64 it runs at the widest vector width the CPU offers. Every width
+/// performs the same IEEE operations, and the bracket makes the consumers'
+/// results exact either way.
+fn evaluate_pairs(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, as just checked.
+            return unsafe { evaluate_pairs_avx512(u1, u2, lo, hi) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, as just checked.
+            return unsafe { evaluate_pairs_avx2(u1, u2, lo, hi) };
+        }
+    }
+    evaluate_pairs_with(u1, u2, lo, hi);
+}
+
+/// [`evaluate_pairs`] compiled for AVX-512 (8 lanes).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn evaluate_pairs_avx512(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
+    evaluate_pairs_with(u1, u2, lo, hi);
 }
 
 /// [`evaluate_pairs`] compiled for AVX2 (4 lanes instead of SSE2's 2).
@@ -410,32 +435,105 @@ fn evaluate_pairs(
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn evaluate_pairs_avx2(
-    uniforms: &[(f64, f64); CHUNK / 2],
-    z: &mut [f64; CHUNK],
-    err: &mut [f64; CHUNK / 2],
-    pairs: usize,
-) {
-    evaluate_pairs_with(uniforms, z, err, pairs);
+unsafe fn evaluate_pairs_avx2(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
+    evaluate_pairs_with(u1, u2, lo, hi);
 }
 
 /// The body of [`evaluate_pairs`], inlined into each target-feature
 /// variant.
 #[inline(always)]
-fn evaluate_pairs_with(
-    uniforms: &[(f64, f64); CHUNK / 2],
-    z: &mut [f64; CHUNK],
-    err: &mut [f64; CHUNK / 2],
-    pairs: usize,
-) {
-    for p in 0..pairs {
-        let (u1, u2) = uniforms[p];
+fn evaluate_pairs_with(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
+    for (((&u1, &u2), lo), hi) in u1.iter().zip(u2).zip(lo).zip(hi) {
         let r = (-2.0 * fast_ln(u1)).sqrt();
         let (sin, cos) = fast_sin_cos(std::f64::consts::TAU * u2);
-        z[2 * p] = r * cos;
-        z[2 * p + 1] = r * sin;
-        err[p] = r * FAST_REL_ERR;
+        let (za, zb, err) = (r * cos, r * sin, r * FAST_REL_ERR);
+        *lo = [za - err, zb - err];
+        *hi = [za + err, zb + err];
     }
+}
+
+/// Runs `f` at both bracket ends of every draw: `out[k] = f(k, lo[k])`,
+/// and `tie[k]` says whether `f(k, hi[k])` has other bits. Returns whether
+/// any draw tied. The loop is branch-free, so it vectorizes; on x86-64 it
+/// runs at the widest vector width the CPU offers, with the same IEEE
+/// operations at every width (there `f64::round`, a libm call on baseline
+/// x86-64, compiles to an instruction).
+fn map_ends<F: Fn(usize, f64) -> f32>(
+    lo: &[f64],
+    hi: &[f64],
+    out: &mut [f32],
+    tie: &mut [bool],
+    f: &F,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, as just checked.
+            return unsafe { map_ends_avx512(lo, hi, out, tie, f) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, as just checked.
+            return unsafe { map_ends_avx2(lo, hi, out, tie, f) };
+        }
+    }
+    map_ends_with(lo, hi, out, tie, f)
+}
+
+/// [`map_ends`] compiled for AVX-512 (8 or 16 lanes).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn map_ends_avx512<F: Fn(usize, f64) -> f32>(
+    lo: &[f64],
+    hi: &[f64],
+    out: &mut [f32],
+    tie: &mut [bool],
+    f: &F,
+) -> bool {
+    map_ends_with(lo, hi, out, tie, f)
+}
+
+/// [`map_ends`] compiled for AVX2 (4 or 8 lanes).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn map_ends_avx2<F: Fn(usize, f64) -> f32>(
+    lo: &[f64],
+    hi: &[f64],
+    out: &mut [f32],
+    tie: &mut [bool],
+    f: &F,
+) -> bool {
+    map_ends_with(lo, hi, out, tie, f)
+}
+
+/// The body of [`map_ends`], inlined into each target-feature variant.
+/// Requests hold at most [`CHUNK`] draws, so consumers that index
+/// `CHUNK`-sized buffers by `k` need no bounds checks.
+#[inline(always)]
+fn map_ends_with<F: Fn(usize, f64) -> f32>(
+    lo: &[f64],
+    hi: &[f64],
+    out: &mut [f32],
+    tie: &mut [bool],
+    f: &F,
+) -> bool {
+    let n = out.len().min(CHUNK);
+    let out = &mut out[..n];
+    let mut any = false;
+    for (k, (((out, tie), &lo), &hi)) in out.iter_mut().zip(tie).zip(lo).zip(hi).enumerate() {
+        let low = f(k, lo);
+        *out = low;
+        *tie = low.to_bits() != f(k, hi).to_bits();
+        any |= *tie;
+    }
+    any
 }
 
 /// Natural logarithm of a positive normal `x`, branchless: fdlibm's
@@ -888,21 +986,71 @@ mod tests {
         }
     }
 
-    /// A body of [`evaluate_pairs`]: the portable one, or the AVX2 one.
-    type EvaluateBody =
-        fn(&[(f64, f64); CHUNK / 2], &mut [f64; CHUNK], &mut [f64; CHUNK / 2], usize);
+    /// A body of [`evaluate_pairs`]: the portable one, the AVX2 one or the
+    /// AVX-512 one.
+    type EvaluateBody = fn(&[f64], &[f64], &mut [[f64; 2]], &mut [[f64; 2]]);
 
-    /// Every body of [`evaluate_pairs`] this CPU can run.
+    /// Every body of [`evaluate_pairs`] this CPU can run; prints a note
+    /// for each one it cannot.
     fn evaluate_bodies() -> Vec<(&'static str, EvaluateBody)> {
         let mut bodies: Vec<(&'static str, EvaluateBody)> = vec![("portable", evaluate_pairs_with)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, as just checked.
-            bodies.push(("avx2", |u, z, err, pairs| unsafe {
-                evaluate_pairs_avx2(u, z, err, pairs)
-            }));
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2, as just checked.
+                bodies.push(("avx2", |u1, u2, lo, hi| unsafe {
+                    evaluate_pairs_avx2(u1, u2, lo, hi)
+                }));
+            } else {
+                eprintln!("note: this CPU lacks AVX2; its evaluate_pairs body is not checked");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU supports AVX-512F, as just checked.
+                bodies.push(("avx512", |u1, u2, lo, hi| unsafe {
+                    evaluate_pairs_avx512(u1, u2, lo, hi)
+                }));
+            } else {
+                eprintln!("note: this CPU lacks AVX-512F; its evaluate_pairs body is not checked");
+            }
         }
         bodies
+    }
+
+    /// What one body of [`map_ends`] gave: its name, its outputs as bits,
+    /// its tie flags and its result.
+    type MapOutput = (&'static str, Vec<u32>, Vec<bool>, bool);
+
+    /// Runs `f` through every body of [`map_ends`] this CPU can run; prints
+    /// a note for each body it cannot run.
+    fn map_ends_bodies<F: Fn(usize, f64) -> f32>(lo: &[f64], hi: &[f64], f: &F) -> Vec<MapOutput> {
+        let run = |body: &dyn Fn(&mut [f32], &mut [bool]) -> bool| {
+            let (mut out, mut tie) = (vec![f32::NAN; lo.len()], vec![true; lo.len()]);
+            let any = body(&mut out, &mut tie);
+            (out.iter().map(|v| v.to_bits()).collect(), tie, any)
+        };
+        let mut outputs = Vec::new();
+        let (out, tie, any) = run(&|out, tie| map_ends_with(lo, hi, out, tie, f));
+        outputs.push(("portable", out, tie, any));
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2, as just checked.
+                let (out, tie, any) =
+                    run(&|out, tie| unsafe { map_ends_avx2(lo, hi, out, tie, f) });
+                outputs.push(("avx2", out, tie, any));
+            } else {
+                eprintln!("note: this CPU lacks AVX2; its map_ends body is not checked");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU supports AVX-512F, as just checked.
+                let (out, tie, any) =
+                    run(&|out, tie| unsafe { map_ends_avx512(lo, hi, out, tie, f) });
+                outputs.push(("avx512", out, tie, any));
+            } else {
+                eprintln!("note: this CPU lacks AVX-512F; its map_ends body is not checked");
+            }
+        }
+        outputs
     }
 
     /// A body of [`decide_pairs`]: the portable one, or the AVX2 one.
@@ -925,25 +1073,69 @@ mod tests {
     fn evaluate_pairs_bodies_agree() {
         let mut rng = SmallRng::seed_from_u64(34);
         let u1s = u1_samples(&mut rng);
-        for (batch, u1s) in u1s.chunks(CHUNK / 2).enumerate() {
-            let mut uniforms = [(0.0, 0.0); CHUNK / 2];
-            for (j, (u, &u1)) in uniforms.iter_mut().zip(u1s).enumerate() {
-                let u2 = if j % 2 == 0 { rng.gen::<f64>() } else { (j % 9) as f64 / 8.0 };
-                *u = (u1, u2);
-            }
+        for (batch, u1) in u1s.chunks(CHUNK / 2).enumerate() {
+            let u2: Vec<f64> = (0..u1.len())
+                .map(|j| if j % 2 == 0 { rng.gen::<f64>() } else { (j % 9) as f64 / 8.0 })
+                .collect();
             let outputs: Vec<_> = evaluate_bodies()
                 .into_iter()
                 .map(|(name, body)| {
-                    let (mut z, mut err) = ([f64::NAN; CHUNK], [f64::NAN; CHUNK / 2]);
-                    body(&uniforms, &mut z, &mut err, u1s.len());
-                    let bits = z.iter().chain(&err).map(|x| x.to_bits()).collect::<Vec<_>>();
-                    (name, bits)
+                    let (mut lo, mut hi) =
+                        (vec![[f64::NAN; 2]; u1.len()], vec![[0.0; 2]; u1.len()]);
+                    body(u1, &u2, &mut lo, &mut hi);
+                    let ends = lo.iter().chain(&hi).flatten();
+                    (name, ends.map(|x| x.to_bits()).collect::<Vec<_>>())
                 })
                 .collect();
             for (name, bits) in &outputs[1..] {
                 assert!(*bits == outputs[0].1, "{name} differs in batch {batch}");
             }
         }
+    }
+
+    #[test]
+    fn map_ends_bodies_agree() {
+        // Brackets from real pairs, widened on every seventh draw so that
+        // some ends map apart, over every consumer's map.
+        let mut rng = SmallRng::seed_from_u64(37);
+        let n = CHUNK;
+        let (u1, u2): (Vec<f64>, Vec<f64>) =
+            (0..n / 2).map(|_| Gaussian::uniforms(&mut rng)).unzip();
+        let (mut lo, mut hi) = (vec![[0.0; 2]; n / 2], vec![[0.0; 2]; n / 2]);
+        evaluate_pairs_with(&u1, &u2, &mut lo, &mut hi);
+        let (mut lo, mut hi) = (lo.as_flattened().to_vec(), hi.as_flattened().to_vec());
+        for k in (0..n).step_by(7) {
+            lo[k] -= 0.3;
+            hi[k] += 0.3;
+        }
+        let volts: [f32; CHUNK] = page_volts(CHUNK, 38).try_into().expect("a chunk of cells");
+        let coupling: [f32; CHUNK] = std::array::from_fn(|_| rng.gen_range(0.0..4.0));
+        let check = |case: &str, outputs: Vec<MapOutput>| {
+            let (_, out, tie, any) = &outputs[0];
+            assert!(*any && tie.iter().any(|&t| !t), "{case}: ties and clean draws both occur");
+            for (name, other_out, other_tie, other_any) in &outputs[1..] {
+                assert!(other_out == out && other_tie == tie && other_any == any, "{name}: {case}");
+            }
+        };
+        check("program", map_ends_bodies(&lo, &hi, &|_, z| (165.0 + 9.0 * z) as f32));
+        let interference = |k: usize, z: f64| {
+            let v = volts[k];
+            let damping = (1.0 - f64::from(v.max(0.0)) / 110.0).clamp(0.0, 1.0);
+            v + ((4.2 + 1.8 * z).max(0.0) * f64::from(coupling[k]) * damping) as f32
+        };
+        check("interference", map_ends_bodies(&lo, &hi, &interference));
+        for sigma in [0.6, 2.4, 40.0] {
+            let probe = |k: usize, z: f64| {
+                let measured = f64::from(volts[k]) + (0.0 + sigma * z);
+                measured.round().clamp(0.0, 255.0) as f32
+            };
+            check(&format!("probe sigma {sigma}"), map_ends_bodies(&lo, &hi, &probe));
+        }
+        let retention = |k: usize, z: f64| {
+            let v = f64::from(volts[k]);
+            (v - 0.01 * v.abs() + (0.0 + 0.05 * z)).max(-61.0) as f32
+        };
+        check("retention", map_ends_bodies(&lo, &hi, &retention));
     }
 
     #[test]
@@ -1004,12 +1196,13 @@ mod tests {
         }
     }
 
-    /// Asserts that a bracketed stream of `n` draws mapped through `f` is
-    /// bit-identical to `fill` followed by `f`, leaves the same spare and
+    /// Asserts that a bracketed stream that maps `requests` chunks in
+    /// turn through `f` (indexed across the whole stream) is bit-identical
+    /// to `fill` of their total followed by `f`, leaves the same spare and
     /// the same next three draws, and returns how many draws fell back to
     /// the exact evaluation.
     fn assert_bracketed_matches(
-        n: usize,
+        requests: &[usize],
         seed: u64,
         spare_in: bool,
         f: impl Fn(usize, f64) -> f32,
@@ -1021,30 +1214,65 @@ mod tests {
             a.sample(&mut rng_a);
             b.sample(&mut rng_b);
         }
+        let n = requests.iter().sum();
         let mut noise = vec![0.0; n];
         a.fill(&mut rng_a, &mut noise);
         let expected: Vec<u32> =
             noise.iter().enumerate().map(|(i, &z)| f(i, z).to_bits()).collect();
         let calls = std::cell::Cell::new(0usize);
-        let mut draws = b.bracketed(&mut rng_b, n);
-        let got: Vec<u32> = (0..n)
-            .map(|i| {
-                draws
-                    .next_value(|z| {
-                        calls.set(calls.get() + 1);
-                        f(i, z)
-                    })
-                    .to_bits()
-            })
-            .collect();
-        let case = format!("n {n} seed {seed} spare {spare_in}");
+        let mut got = Vec::with_capacity(n);
+        let mut draws = b.bracketed(&mut rng_b);
+        for &len in requests {
+            let (taken, mut out) = (got.len(), vec![f32::NAN; len]);
+            draws.map(&mut out, |k, z| {
+                calls.set(calls.get() + 1);
+                f(taken + k, z)
+            });
+            got.extend(out.iter().map(|v| v.to_bits()));
+        }
+        drop(draws);
+        let case = format!("requests {requests:?} seed {seed} spare {spare_in}");
         assert_eq!(got, expected, "{case}");
         assert_eq!(a.spare().map(f64::to_bits), b.spare().map(f64::to_bits), "{case}");
         for _ in 0..3 {
             assert_eq!(a.sample(&mut rng_a).to_bits(), b.sample(&mut rng_b).to_bits(), "{case}");
         }
-        // Two calls per bracketed draw, a third on a fallback.
+        // Two calls per draw, a third on a fallback.
         calls.get() - 2 * n
+    }
+
+    /// `len` draws requested as the chip's consumers request them: whole
+    /// chunks, then the rest.
+    fn chunked(len: usize) -> Vec<usize> {
+        let mut requests = vec![CHUNK; len / CHUNK];
+        requests.push(len % CHUNK);
+        requests
+    }
+
+    /// Request sequences of every shape: none at all, empty requests, single
+    /// draws, odd lengths that leave a variate pending, and chunk-sized
+    /// requests around a total of `CHUNK + 1`.
+    fn request_sequences() -> Vec<Vec<usize>> {
+        let c = CHUNK;
+        let mut sequences = vec![
+            vec![],
+            vec![0],
+            vec![0, 0],
+            vec![1],
+            vec![1, 1, 1],
+            vec![0, 1, 0, 2],
+            vec![7, 0, 3, 5],
+            vec![2, 4, 1],
+            vec![c - 1],
+            vec![c - 1, 2],
+            vec![c - 1, c - 1, 3],
+            vec![c, 1],
+            vec![1, c],
+            vec![c, c, 1],
+            vec![3, c - 1, 0, c - 2, 7],
+        ];
+        sequences.extend([0, 1, 2, 3, 7, c - 1, c, c + 1, 2 * c + 1, 144_384].map(chunked));
+        sequences
     }
 
     /// Voltages as on a real page: erased and programmed lobes plus strays.
@@ -1061,20 +1289,22 @@ mod tests {
 
     #[test]
     fn bracketed_consumers_match_fill() {
-        let lens = [0, 1, 2, 3, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 144_384];
         let volts = page_volts(144_384, 8);
         let mut rng = SmallRng::seed_from_u64(9);
         let coupling: Vec<f64> = (0..144_384).map(|_| rng.gen_range(0.0..4.0)).collect();
-        for len in lens {
+        for requests in request_sequences() {
             for spare_in in [false, true] {
-                let seed = len as u64 + 100;
+                let seed = requests.iter().sum::<usize>() as u64 + 100 + requests.len() as u64;
+                let check = |f: &dyn Fn(usize, f64) -> f32| {
+                    assert_bracketed_matches(&requests, seed, spare_in, f);
+                };
                 for (mean, sigma) in [(165.0, 9.0), (-25.0, 12.5), (-25.0, 0.0)] {
                     // Program and erase: `(mean + σ·z) as f32`.
-                    assert_bracketed_matches(len, seed, spare_in, |_, z| (mean + sigma * z) as f32);
+                    check(&|_, z| (mean + sigma * z) as f32);
                 }
                 for (m, s) in [(4.2, 1.8), (0.084, 0.036), (4.2, 0.0)] {
                     // Interference: `v + ((m + s·z).max(0)·c·d) as f32`.
-                    assert_bracketed_matches(len, seed, spare_in, |i, z| {
+                    check(&|i, z| {
                         let v = volts[i];
                         let damping = (1.0 - f64::from(v.max(0.0)) / 110.0).clamp(0.0, 1.0);
                         v + ((m + s * z).max(0.0) * coupling[i] * damping) as f32
@@ -1082,13 +1312,13 @@ mod tests {
                 }
                 for sigma in [0.6, 2.4, 0.0] {
                     // Probe: `(v + σ·z).round().clamp(0, 255)`.
-                    assert_bracketed_matches(len, seed, spare_in, |i, z| {
+                    check(&|i, z| {
                         let measured = f64::from(volts[i]) + (0.0 + sigma * z);
                         measured.round().clamp(0.0, 255.0) as f32
                     });
                 }
                 // Retention: `(v − loss + σ·z).max(floor) as f32`.
-                assert_bracketed_matches(len, seed, spare_in, |i, z| {
+                check(&|i, z| {
                     let v = f64::from(volts[i]);
                     (v - 0.01 * v.abs() + (0.0 + 0.05 * z)).max(-61.0) as f32
                 });
@@ -1100,8 +1330,11 @@ mod tests {
     fn bracketed_ties_fall_back_to_the_exact_draw() {
         // Place each consumer's result on an f32 rounding midpoint for the
         // exact draw, so the bracket straddles it and the exact path runs.
-        for len in [1, 2, 5, CHUNK + 3] {
+        let c = CHUNK;
+        let sequences = [vec![1], vec![2], vec![5], vec![1, 1, 3], vec![3, 0, 2], vec![c, 3]];
+        for requests in sequences.into_iter().chain([vec![c - 1, 4], vec![7, c - 2, 1]]) {
             for spare_in in [false, true] {
+                let len: usize = requests.iter().sum();
                 let mut rng = SmallRng::seed_from_u64(len as u64);
                 let mut g = Gaussian::new();
                 if spare_in {
@@ -1114,18 +1347,29 @@ mod tests {
                     f64::from(low) + f64::from(f32::EPSILON) / 2.0
                 };
                 let means: Vec<f64> = (0..len).map(|i| midpoint(i) - z[i]).collect();
-                let fallbacks = assert_bracketed_matches(len, len as u64, spare_in, |i, z| {
-                    (means[i] + 1.0 * z) as f32
-                });
-                // Every bracketed draw with a non-tiny radius straddles.
-                let exact = usize::from(spare_in) + (len - usize::from(spare_in)) % 2;
-                assert!(fallbacks + exact >= len * 9 / 10, "len {len}: {fallbacks} fallbacks");
+                let fallbacks =
+                    assert_bracketed_matches(&requests, len as u64, spare_in, |i, z| {
+                        (means[i] + 1.0 * z) as f32
+                    });
+                // Every bracketed draw with a non-tiny radius straddles;
+                // only a leading spare is exact.
+                let exact = usize::from(spare_in);
+                let case = format!("requests {requests:?} spare {spare_in}");
+                assert!(fallbacks + exact >= len * 9 / 10, "{case}: {fallbacks} fallbacks");
                 let bumps: Vec<f64> = (0..len).map(|i| midpoint(i) - 0.5 * z[i]).collect();
-                assert_bracketed_matches(len, len as u64, spare_in, |i, z| {
+                assert_bracketed_matches(&requests, len as u64, spare_in, |i, z| {
                     -3.0f32 + (bumps[i] + 0.5 * z).max(0.0) as f32
                 });
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the chunk")]
+    fn bracketed_requests_are_at_most_a_chunk() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut g = Gaussian::new();
+        g.bracketed(&mut rng).map(&mut [0.0; CHUNK + 1], |_, z| z as f32);
     }
 
     #[test]

@@ -243,7 +243,7 @@ impl<D: NandDevice> Ftl<D> {
     pub fn new(chip: D, cfg: FtlConfig) -> Result<Self, FtlError> {
         let blocks = chip.geometry().blocks_per_chip;
         let chips = chip.chip_count().max(1);
-        if blocks % chips != 0 {
+        if !blocks.is_multiple_of(chips) {
             return Err(FtlError::InvalidConfig(format!(
                 "{blocks} blocks do not divide evenly over {chips} chips"
             )));

@@ -195,7 +195,7 @@ mod reference {
         }
         let mut best: Option<(SvmParams, f64)> = None;
         for &(params, acc) in &all {
-            if best.as_ref().map_or(true, |(_, b)| acc > *b) {
+            if best.as_ref().is_none_or(|(_, b)| acc > *b) {
                 best = Some((params, acc));
             }
         }

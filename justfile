@@ -2,10 +2,13 @@
 
 # Build, test, and lint the whole workspace — the pre-commit gate.
 # `--locked`: the committed Cargo.lock must already describe the build.
+# The root package is non-virtual, so `--workspace` is what makes the test
+# and clippy steps cover the member crates (the noise kernels' unit tests
+# among them) rather than the root package alone.
 verify:
     cargo build --release --locked
-    cargo test -q --locked
-    cargo clippy --all-targets --locked -- -D warnings
+    cargo test -q --workspace --locked
+    cargo clippy --workspace --all-targets --locked -- -D warnings
 
 # The CI gate: no registry package in either lockfile (every crates.io name
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
