@@ -13,7 +13,8 @@
 //! interference walk reads it several times per cell and block. Bigger
 //! blocks (a paper-geometry block holds 37 M cells) derive it per bump with
 //! [`coupling`]. The cache is filled by `fill_coupling`, a chunked,
-//! branch-free kernel whose every stored value has the bits of
+//! branch-free kernel (stamped by `isa::kernel!`, so it runs at the vector
+//! level the CPU offers) whose every stored value has the bits of
 //! `coupling(..) as f32`:
 //!
 //! - the hash prefix of `(seed, block)` is computed once, so each cell costs
@@ -26,6 +27,8 @@
 //!   `t ↦ (median·t).min(cap) as f32` is monotone, so when it gives equal
 //!   bits at both ends of `e·(1 ∓ EXP_REL_ERR)` those bits are the exact
 //!   result; on a tie the cell is recomputed by [`coupling`].
+
+use crate::isa::{fast_exp, kernel, EXP_LIMIT, EXP_REL_ERR};
 
 /// Salt distinguishing the interference-coupling latent.
 pub const SALT_COUPLING: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -120,21 +123,9 @@ pub fn std_normal(seed: u64, a: u32, b: usize, salt: u64) -> f64 {
 /// stack use flat whatever the block size; offsets fit a `u16`.
 const CHUNK: usize = 1024;
 
-/// Relative error bound of [`fast_exp`] against libm, with a wide margin:
-/// over 200 K points in every binary-exponent bin of `|x|` up to
-/// [`EXP_LIMIT`], and five ulps around every rounding point of its
-/// reduction, the worst relative error measured was 4.7e-16. The tests pin
-/// the kernel below a hundredth of this bound.
-const EXP_REL_ERR: f64 = 1e-12;
-
-/// [`fast_exp`] is used for `|x|` up to this; beyond it the bracket is
-/// skipped and the cell takes the libm path.
-const EXP_LIMIT: f64 = 700.0;
-
 /// Fills `out[j]` with `coupling(seed, block, first + j, median, sigma_ln,
 /// cap) as f32` for every `j`, bit for bit (see the module docs for why
-/// the result is exact). On x86-64 CPUs with AVX2 it runs a 4-lane copy of
-/// the same loops; every width performs the same IEEE operations.
+/// the result is exact).
 pub(crate) fn fill_coupling(
     seed: u64,
     block: u32,
@@ -144,83 +135,58 @@ pub(crate) fn fill_coupling(
     cap: f64,
     out: &mut [f32],
 ) {
-    let latent = (seed, block, first);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, as just checked.
-        unsafe { fill_coupling_avx2(latent, median, sigma_ln, cap, EXP_REL_ERR, out) };
-        return;
-    }
-    fill_coupling_with(latent, median, sigma_ln, cap, EXP_REL_ERR, out);
+    fill_bracketed((seed, block, first), (median, sigma_ln, cap), EXP_REL_ERR, out);
 }
 
-/// [`fill_coupling`] compiled for AVX2 (4 lanes instead of SSE2's 2).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_coupling_avx2(
-    latent: (u64, u32, usize),
-    median: f64,
-    sigma_ln: f64,
-    cap: f64,
-    rel_err: f64,
-    out: &mut [f32],
-) -> usize {
-    fill_coupling_with(latent, median, sigma_ln, cap, rel_err, out)
-}
-
-/// The body of [`fill_coupling`], inlined into each target-feature
-/// variant; `latent` is its `(seed, block, first)`. `rel_err` bounds
-/// [`fast_exp`]'s relative error; the tests raise it to force every cell
-/// onto the tie path. Returns the number of ties.
-#[inline(always)]
-fn fill_coupling_with(
-    (seed, block, first): (u64, u32, usize),
-    median: f64,
-    sigma_ln: f64,
-    cap: f64,
-    rel_err: f64,
-    out: &mut [f32],
-) -> usize {
-    let prefix = splitmix64(splitmix64(seed ^ SALT_COUPLING) ^ u64::from(block));
-    let (below, above) = (1.0 - rel_err, 1.0 + rel_err);
-    let mut p = [0.0; CHUNK];
-    let mut z = [0.0; CHUNK];
-    let mut tails = [0u16; CHUNK];
-    let mut tie = [false; CHUNK];
-    let mut ties = 0;
-    for (k, out) in out.chunks_mut(CHUNK).enumerate() {
-        let first = first + k * CHUNK;
-        let (p, z, tie) = (&mut p[..out.len()], &mut z[..out.len()], &mut tie[..out.len()]);
-        for (j, p) in p.iter_mut().enumerate() {
-            *p = to_unit(splitmix64(prefix ^ (first + j) as u64));
-        }
-        normals(p, z, &mut tails);
-        let mut chunk_ties = 0;
-        for ((out, tie), &z) in out.iter_mut().zip(tie.iter_mut()).zip(z.iter()) {
-            let x = sigma_ln * z;
-            let e = fast_exp(x);
-            let lo = (median * (e * below)).min(cap) as f32;
-            let hi = (median * (e * above)).min(cap) as f32;
-            // A NaN `x` is out of range too.
-            let in_range = x.abs() <= EXP_LIMIT;
-            *out = lo;
-            *tie = lo.to_bits() != hi.to_bits() || !in_range;
-            chunk_ties += usize::from(*tie);
-        }
-        // Ties are rare (about one cell in 40 000), so most chunks skip
-        // the scan.
-        if chunk_ties > 0 {
-            for (j, out) in out.iter_mut().enumerate().filter(|&(j, _)| tie[j]) {
-                *out = coupling(seed, block, first + j, median, sigma_ln, cap) as f32;
+kernel! {
+    /// The kernel behind [`fill_coupling`]: `latent` is its `(seed, block,
+    /// first)` and `lognormal` its `(median, sigma_ln, cap)`. `rel_err`
+    /// bounds [`fast_exp`]'s relative error; the tests raise it to force
+    /// every cell onto the tie path. Returns the number of ties.
+    pub(crate) fn fill_bracketed / fill_bracketed_at(
+        latent: (u64, u32, usize),
+        lognormal: (f64, f64, f64),
+        rel_err: f64,
+        out: &mut [f32],
+    ) -> usize {
+        let ((seed, block, first), (median, sigma_ln, cap)) = (latent, lognormal);
+        let prefix = splitmix64(splitmix64(seed ^ SALT_COUPLING) ^ u64::from(block));
+        let (below, above) = (1.0 - rel_err, 1.0 + rel_err);
+        let mut p = [0.0; CHUNK];
+        let mut z = [0.0; CHUNK];
+        let mut tails = [0u16; CHUNK];
+        let mut tie = [false; CHUNK];
+        let mut ties = 0;
+        for (k, out) in out.chunks_mut(CHUNK).enumerate() {
+            let first = first + k * CHUNK;
+            let (p, z, tie) = (&mut p[..out.len()], &mut z[..out.len()], &mut tie[..out.len()]);
+            for (j, p) in p.iter_mut().enumerate() {
+                *p = to_unit(splitmix64(prefix ^ (first + j) as u64));
             }
+            normals(p, z, &mut tails);
+            let mut chunk_ties = 0;
+            for ((out, tie), &z) in out.iter_mut().zip(tie.iter_mut()).zip(z.iter()) {
+                let x = sigma_ln * z;
+                let e = fast_exp(x);
+                let lo = (median * (e * below)).min(cap) as f32;
+                let hi = (median * (e * above)).min(cap) as f32;
+                // A NaN `x` is out of range too.
+                let in_range = x.abs() <= EXP_LIMIT;
+                *out = lo;
+                *tie = lo.to_bits() != hi.to_bits() || !in_range;
+                chunk_ties += usize::from(*tie);
+            }
+            // Ties are rare (about one cell in 40 000), so most chunks skip
+            // the scan.
+            if chunk_ties > 0 {
+                for (j, out) in out.iter_mut().enumerate().filter(|&(j, _)| tie[j]) {
+                    *out = coupling(seed, block, first + j, median, sigma_ln, cap) as f32;
+                }
+            }
+            ties += chunk_ties;
         }
-        ties += chunk_ties;
+        ties
     }
-    ties
 }
 
 /// `z[j] = inverse_normal_cdf(p[j])` for every `j`, bit for bit: the
@@ -240,49 +206,6 @@ fn normals(p: &[f64], z: &mut [f64], tails: &mut [u16; CHUNK]) {
         let j = usize::from(j);
         z[j] = inverse_normal_cdf(p[j]);
     }
-}
-
-/// `e^x` for `|x| ≤` [`EXP_LIMIT`], branchless: Cody–Waite reduction by
-/// `ln 2` with magic-number rounding (`round()` is a libm call on baseline
-/// x86-64, and an `as i64` cast does not vectorize), the degree-12 Taylor
-/// polynomial on `|r| ≤ ln(2)/2`, and the power of two built from the
-/// rounded integer's bits. Within [`EXP_REL_ERR`]`/100` relative of libm
-/// (pinned by the tests); outside the range the value is meaningless.
-#[inline(always)]
-fn fast_exp(x: f64) -> f64 {
-    /// `1.5·2^52`: adding it rounds to an integer held in the low bits.
-    const ROUND: f64 = 6_755_399_441_055_744.0;
-    /// fdlibm's split of `ln 2`: `n·LN2_HI` is exact for `|n| < 2^20`.
-    const LN2_HI: f64 = 0.693_147_180_369_123_8;
-    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-    /// `1/k!` for `k = 2..=12`.
-    const INV_FACT: [f64; 11] = [
-        0.5,
-        0.166_666_666_666_666_66,
-        0.041_666_666_666_666_664,
-        0.008_333_333_333_333_333,
-        0.001_388_888_888_888_889,
-        0.000_198_412_698_412_698_4,
-        2.480_158_730_158_73e-5,
-        2.755_731_922_398_589_3e-6,
-        2.755_731_922_398_589e-7,
-        2.505_210_838_544_172e-8,
-        2.087_675_698_786_81e-9,
-    ];
-    let shifted = x * std::f64::consts::LOG2_E + ROUND;
-    let n = shifted - ROUND;
-    // `x − n·LN2_HI` is exact (Sterbenz), so only LN2_LO's rounding adds
-    // to the reduced argument's error.
-    let r = (x - n * LN2_HI) - n * LN2_LO;
-    let mut poly = INV_FACT[10];
-    for &c in INV_FACT[..10].iter().rev() {
-        poly = poly * r + c;
-    }
-    let poly = (poly * r + 1.0) * r + 1.0;
-    // The low bits of `shifted` hold `n` in two's complement; shifted into
-    // the exponent field with the bias they give `2^n` (`|n| ≤ 1010`).
-    let scale = f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52);
-    poly * scale
 }
 
 /// Acklam's coefficients of the central rational: numerator (`A`) and
@@ -349,6 +272,15 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::assert_levels_agree;
+
+    kernel! {
+        /// [`normals`] as a kernel of its own, so the tests can run it at
+        /// every level.
+        fn normals_kernel / normals_kernel_at(p: &[f64], z: &mut [f64], tails: &mut [u16; CHUNK]) {
+            normals(p, z, tails)
+        }
+    }
 
     #[test]
     fn splitmix_is_stable_and_mixing() {
@@ -390,54 +322,29 @@ mod tests {
         assert_ne!(pp_efficiency(7, 3, 100, 0.4), coupling(7, 3, 100, 1.0, 0.4, 100.0));
     }
 
-    /// A body of the fill kernel: the generic one, or the AVX2 one.
-    type Body = fn((u64, u32, usize), f64, f64, f64, f64, &mut [f32]) -> usize;
-
-    /// Every body this CPU can run.
-    fn bodies() -> Vec<(&'static str, Body)> {
-        let mut bodies: Vec<(&'static str, Body)> = vec![("generic", fill_coupling_with)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, as just checked.
-            bodies.push(("avx2", |l, m, sg, c, e, out| unsafe {
-                fill_coupling_avx2(l, m, sg, c, e, out)
-            }));
-        }
-        bodies
-    }
-
-    /// Runs every body over `len` cells from cell `first`, asserts each
-    /// matches `coupling(..) as f32` bit for bit, and returns each body's
-    /// ties.
+    /// Runs the fill kernel at every level over `len` cells from cell
+    /// `first`, asserts that each matches `coupling(..) as f32` bit for bit,
+    /// and returns the number of ties.
     fn assert_fill_matches(
         (seed, block, first, len): (u64, u32, usize, usize),
-        (median, sigma_ln, cap): (f64, f64, f64),
+        lognormal: (f64, f64, f64),
         rel_err: f64,
-    ) -> Vec<usize> {
+    ) -> usize {
+        let (median, sigma_ln, cap) = lognormal;
         let expected: Vec<u32> = (first..first + len)
             .map(|c| (coupling(seed, block, c, median, sigma_ln, cap) as f32).to_bits())
             .collect();
-        bodies()
-            .into_iter()
-            .map(|(name, body)| {
-                let mut out = vec![f32::NAN; len];
-                let latent = (seed, block, first);
-                let ties = body(latent, median, sigma_ln, cap, rel_err, &mut out);
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                let case = format!(
-                    "{name}: seed {seed} block {block} first {first} len {len} \
-                     median {median} sigma {sigma_ln}"
-                );
-                if let Some(c) = (0..len).find(|&c| got[c] != expected[c]) {
-                    panic!(
-                        "{case}: cell {c} got {} expected {}",
-                        out[c],
-                        f32::from_bits(expected[c])
-                    );
-                }
-                ties
-            })
-            .collect()
+        let case = format!("seed {seed} block {block} first {first} len {len} {lognormal:?}");
+        let (got, ties) = assert_levels_agree(&case, |isa| {
+            let mut out = vec![f32::NAN; len];
+            let ties = fill_bracketed_at(isa, (seed, block, first), lognormal, rel_err, &mut out);
+            (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), ties)
+        });
+        if let Some(c) = (0..len).find(|&c| got[c] != expected[c]) {
+            let (got, expected) = (f32::from_bits(got[c]), f32::from_bits(expected[c]));
+            panic!("{case}: cell {c} got {got} expected {expected}");
+        }
+        ties
     }
 
     #[test]
@@ -449,7 +356,7 @@ mod tests {
                 let ties = assert_fill_matches((seed, block, 0, len), params, EXP_REL_ERR);
                 // A bracket of relative width 2e-12 straddles an f32
                 // rounding point for about one cell in 40 000.
-                assert!(ties.iter().all(|&t| t <= 10 + len / 2000), "{params:?}: {ties:?}");
+                assert!(ties <= 10 + len / 2000, "{params:?}: {ties}");
             }
         }
     }
@@ -475,7 +382,7 @@ mod tests {
         }
         // Wide sigma sends most cells past EXP_LIMIT onto the libm path.
         let ties = assert_fill_matches((11, 5, 0, len), (0.5, 2000.0, f64::INFINITY), EXP_REL_ERR);
-        assert!(ties.iter().all(|&t| t > len / 2), "{ties:?}");
+        assert!(ties > len / 2, "{ties}");
     }
 
     #[test]
@@ -484,7 +391,7 @@ mod tests {
         // every uncapped cell straddles and takes the libm path.
         let len = 2 * CHUNK + 1;
         let ties = assert_fill_matches((21, 2, 0, len), (0.5, 1.0, f64::INFINITY), 1.0);
-        assert!(ties.iter().all(|&t| t == len), "{ties:?}");
+        assert_eq!(ties, len);
     }
 
     #[test]
@@ -497,7 +404,7 @@ mod tests {
         assert!(e.is_finite() && e > 1.0, "{e}");
         // The kernel's tail path agrees with the scalar inverse CDF there.
         let mut z = [f64::NAN];
-        normals(&[p], &mut z, &mut [0u16; CHUNK]);
+        normals_kernel(&[p], &mut z, &mut [0u16; CHUNK]);
         assert_eq!(z[0].to_bits(), inverse_normal_cdf(p).to_bits());
         assert!(z[0].is_finite(), "{}", z[0]);
     }
@@ -515,49 +422,12 @@ mod tests {
             p.push(to_unit(rand::Rng::gen(&mut rng)));
         }
         let expected: Vec<u64> = p.iter().map(|&p| inverse_normal_cdf(p).to_bits()).collect();
-        let mut tails = [0u16; CHUNK];
-        let mut z = vec![f64::NAN; CHUNK];
-        normals(&p, &mut z, &mut tails);
-        assert_eq!(z.iter().map(|z| z.to_bits()).collect::<Vec<_>>(), expected, "generic");
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            #[target_feature(enable = "avx2")]
-            unsafe fn normals_avx2(p: &[f64], z: &mut [f64], tails: &mut [u16; CHUNK]) {
-                normals(p, z, tails);
-            }
-            z.fill(f64::NAN);
-            // SAFETY: the CPU supports AVX2, as just checked.
-            unsafe { normals_avx2(&p, &mut z, &mut tails) };
-            assert_eq!(z.iter().map(|z| z.to_bits()).collect::<Vec<_>>(), expected, "avx2");
-        }
-    }
-
-    #[test]
-    fn fast_exp_is_within_a_hundredth_of_the_bound() {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(42);
-        let mut xs = vec![0.0, EXP_LIMIT, -EXP_LIMIT];
-        // Every binary-exponent bin of |x| up to EXP_LIMIT: its ends and
-        // random interior points, both signs.
-        for k in -1074..=9 {
-            let lowest = 2f64.powi(k);
-            for x in [lowest, 2.0 * lowest * (1.0 - f64::EPSILON)]
-                .into_iter()
-                .chain((0..500).map(|_| lowest * (1.0 + rand::Rng::gen::<f64>(&mut rng))))
-                .filter(|x| *x <= EXP_LIMIT)
-            {
-                xs.extend([x, -x]);
-            }
-        }
-        // Multiples of ln(2)/2; the odd ones are the reduction's rounding
-        // points.
-        for j in -2019..=2019 {
-            let t = j as f64 * std::f64::consts::LN_2 / 2.0;
-            xs.extend((-2..=2).map(|d| f64::from_bits(t.to_bits().wrapping_add_signed(d))));
-        }
-        for x in xs.into_iter().filter(|x| x.abs() <= EXP_LIMIT) {
-            let (fast, libm) = (fast_exp(x), x.exp());
-            assert!((fast - libm).abs() <= libm * EXP_REL_ERR / 100.0, "x {x:e}: {fast} vs {libm}");
-        }
+        let z = assert_levels_agree("branch points", |isa| {
+            let mut z = vec![f64::NAN; CHUNK];
+            normals_kernel_at(isa, &p, &mut z, &mut [0u16; CHUNK]);
+            z.iter().map(|z| z.to_bits()).collect::<Vec<_>>()
+        });
+        assert_eq!(z, expected);
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod histogram;
+mod isa;
 pub mod latent;
 pub mod meter;
 pub mod middleware;

@@ -32,8 +32,11 @@
 //!   the transcendental functions.
 //!
 //! `Gaussian::skip` advances the stream past draws whose values would be
-//! overwritten unread.
+//! overwritten unread. The branch-free chunk loops (`evaluate_pairs`,
+//! `map_ends`, `decide_pairs`) are stamped by `isa::kernel!` and run at the
+//! vector level the CPU offers.
 
+use crate::isa::{fast_ln, fast_sin_cos, kernel, FAST_REL_ERR};
 use rand::Rng;
 
 /// A Box–Muller standard-normal sampler that caches the spare variate.
@@ -274,14 +277,6 @@ fn draw_uniforms<R: Rng + ?Sized>(rng: &mut R, u1: &mut [f64], u2: &mut [f64]) {
 /// buffers keep peak memory flat whatever the page size.
 pub(crate) const CHUNK: usize = 2048;
 
-/// Relative error bound of [`fast_ln`] and absolute error bound of
-/// [`fast_sin_cos`] against libm, with a wide margin: over 1e8 random
-/// pairs the worst errors were 2.2e-16 for `ln`, 1.1e-16 for `sin` and
-/// `cos`, and `4.4e-16·r` for a variate `r·cos θ` or `r·sin θ`, which
-/// therefore lies well within `r·FAST_REL_ERR` of the libm value. The
-/// tests pin the kernels below a hundredth of this bound.
-const FAST_REL_ERR: f64 = 2e-13;
-
 /// A stream of standard-normal draws from a [`Gaussian`], handed out in
 /// chunks to monotone consumers (built by [`Gaussian::bracketed`]).
 ///
@@ -396,223 +391,54 @@ impl<R: ?Sized> Drop for BracketedNormals<'_, R> {
     }
 }
 
-/// Evaluates each pair `(u1[p], u2[p])` with [`fast_ln`] and
-/// [`fast_sin_cos`] into the bracket ends `lo[p]`, `hi[p]` of its two
-/// variates `(r·cos, r·sin)`. The loop is branch-free, so it vectorizes; on
-/// x86-64 it runs at the widest vector width the CPU offers. Every width
-/// performs the same IEEE operations, and the bracket makes the consumers'
-/// results exact either way.
-fn evaluate_pairs(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU supports AVX-512F, as just checked.
-            return unsafe { evaluate_pairs_avx512(u1, u2, lo, hi) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, as just checked.
-            return unsafe { evaluate_pairs_avx2(u1, u2, lo, hi) };
-        }
-    }
-    evaluate_pairs_with(u1, u2, lo, hi);
-}
-
-/// [`evaluate_pairs`] compiled for AVX-512 (8 lanes).
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn evaluate_pairs_avx512(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
-    evaluate_pairs_with(u1, u2, lo, hi);
-}
-
-/// [`evaluate_pairs`] compiled for AVX2 (4 lanes instead of SSE2's 2).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn evaluate_pairs_avx2(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
-    evaluate_pairs_with(u1, u2, lo, hi);
-}
-
-/// The body of [`evaluate_pairs`], inlined into each target-feature
-/// variant.
-#[inline(always)]
-fn evaluate_pairs_with(u1: &[f64], u2: &[f64], lo: &mut [[f64; 2]], hi: &mut [[f64; 2]]) {
-    for (((&u1, &u2), lo), hi) in u1.iter().zip(u2).zip(lo).zip(hi) {
-        let r = (-2.0 * fast_ln(u1)).sqrt();
-        let (sin, cos) = fast_sin_cos(std::f64::consts::TAU * u2);
-        let (za, zb, err) = (r * cos, r * sin, r * FAST_REL_ERR);
-        *lo = [za - err, zb - err];
-        *hi = [za + err, zb + err];
-    }
-}
-
-/// Runs `f` at both bracket ends of every draw: `out[k] = f(k, lo[k])`,
-/// and `tie[k]` says whether `f(k, hi[k])` has other bits. Returns whether
-/// any draw tied. The loop is branch-free, so it vectorizes; on x86-64 it
-/// runs at the widest vector width the CPU offers, with the same IEEE
-/// operations at every width (there `f64::round`, a libm call on baseline
-/// x86-64, compiles to an instruction).
-fn map_ends<F: Fn(usize, f64) -> f32>(
-    lo: &[f64],
-    hi: &[f64],
-    out: &mut [f32],
-    tie: &mut [bool],
-    f: &F,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU supports AVX-512F, as just checked.
-            return unsafe { map_ends_avx512(lo, hi, out, tie, f) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, as just checked.
-            return unsafe { map_ends_avx2(lo, hi, out, tie, f) };
+kernel! {
+    /// Evaluates each pair `(u1[p], u2[p])` with [`fast_ln`] and
+    /// [`fast_sin_cos`] into the bracket ends `lo[p]`, `hi[p]` of its two
+    /// variates `(r·cos, r·sin)`. The loop is branch-free, so it vectorizes;
+    /// every level performs the same IEEE operations, and the bracket makes
+    /// the consumers' results exact either way.
+    pub(crate) fn evaluate_pairs / evaluate_pairs_at(
+        u1: &[f64],
+        u2: &[f64],
+        lo: &mut [[f64; 2]],
+        hi: &mut [[f64; 2]],
+    ) {
+        for (((&u1, &u2), lo), hi) in u1.iter().zip(u2).zip(lo).zip(hi) {
+            let r = (-2.0 * fast_ln(u1)).sqrt();
+            let (sin, cos) = fast_sin_cos(std::f64::consts::TAU * u2);
+            let (za, zb, err) = (r * cos, r * sin, r * FAST_REL_ERR);
+            *lo = [za - err, zb - err];
+            *hi = [za + err, zb + err];
         }
     }
-    map_ends_with(lo, hi, out, tie, f)
 }
 
-/// [`map_ends`] compiled for AVX-512 (8 or 16 lanes).
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn map_ends_avx512<F: Fn(usize, f64) -> f32>(
-    lo: &[f64],
-    hi: &[f64],
-    out: &mut [f32],
-    tie: &mut [bool],
-    f: &F,
-) -> bool {
-    map_ends_with(lo, hi, out, tie, f)
-}
-
-/// [`map_ends`] compiled for AVX2 (4 or 8 lanes).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn map_ends_avx2<F: Fn(usize, f64) -> f32>(
-    lo: &[f64],
-    hi: &[f64],
-    out: &mut [f32],
-    tie: &mut [bool],
-    f: &F,
-) -> bool {
-    map_ends_with(lo, hi, out, tie, f)
-}
-
-/// The body of [`map_ends`], inlined into each target-feature variant.
-/// Requests hold at most [`CHUNK`] draws, so consumers that index
-/// `CHUNK`-sized buffers by `k` need no bounds checks.
-#[inline(always)]
-fn map_ends_with<F: Fn(usize, f64) -> f32>(
-    lo: &[f64],
-    hi: &[f64],
-    out: &mut [f32],
-    tie: &mut [bool],
-    f: &F,
-) -> bool {
-    let n = out.len().min(CHUNK);
-    let out = &mut out[..n];
-    let mut any = false;
-    for (k, (((out, tie), &lo), &hi)) in out.iter_mut().zip(tie).zip(lo).zip(hi).enumerate() {
-        let low = f(k, lo);
-        *out = low;
-        *tie = low.to_bits() != f(k, hi).to_bits();
-        any |= *tie;
+kernel! {
+    /// Runs `f` at both bracket ends of every draw: `out[k] = f(k, lo[k])`,
+    /// and `tie[k]` says whether `f(k, hi[k])` has other bits. Returns
+    /// whether any draw tied. The loop is branch-free, so it vectorizes,
+    /// with the same IEEE operations at every level (`f64::round`, a libm
+    /// call on baseline x86-64, compiles to an instruction from AVX2 up).
+    /// Requests hold at most [`CHUNK`] draws, so consumers that index
+    /// `CHUNK`-sized buffers by `k` need no bounds checks.
+    pub(crate) fn map_ends / map_ends_at(
+        lo: &[f64],
+        hi: &[f64],
+        out: &mut [f32],
+        tie: &mut [bool],
+        f: &impl Fn(usize, f64) -> f32,
+    ) -> bool {
+        let n = out.len().min(CHUNK);
+        let out = &mut out[..n];
+        let mut any = false;
+        for (k, (((out, tie), &lo), &hi)) in out.iter_mut().zip(tie).zip(lo).zip(hi).enumerate() {
+            let low = f(k, lo);
+            *out = low;
+            *tie = low.to_bits() != f(k, hi).to_bits();
+            any |= *tie;
+        }
+        any
     }
-    any
-}
-
-/// Natural logarithm of a positive normal `x`, branchless: fdlibm's
-/// `__ieee754_log` reduction to `[sqrt(2)/2, sqrt(2))` and its degree-14
-/// `log1p` polynomial in `s = f/(2+f)`. Within `FAST_REL_ERR/100` relative
-/// of libm (pinned by the tests).
-#[inline]
-fn fast_ln(x: f64) -> f64 {
-    const LN2_HI: f64 = 0.693_147_180_369_123_8;
-    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-    const LG1: f64 = 0.666_666_666_666_673_5;
-    const LG2: f64 = 0.399_999_999_994_094_2;
-    const LG3: f64 = 0.285_714_287_436_623_9;
-    const LG4: f64 = 0.222_221_984_321_497_84;
-    const LG5: f64 = 0.181_835_721_616_180_5;
-    const LG6: f64 = 0.153_138_376_992_093_73;
-    const LG7: f64 = 0.147_981_986_051_165_86;
-    let bits = x.to_bits();
-    // Offset the high word so that the exponent steps at sqrt(2)/2 rather
-    // than at 1, then rebuild the mantissa in [sqrt(2)/2, sqrt(2)).
-    let hx = (bits >> 32) as u32 + (0x3ff0_0000 - 0x3fe6_a09e);
-    let k = (hx >> 20) as i32 - 0x3ff;
-    let hx = (hx & 0x000f_ffff) + 0x3fe6_a09e;
-    let f = f64::from_bits((u64::from(hx) << 32) | (bits & 0xffff_ffff)) - 1.0;
-    let hfsq = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let t1 = w * (LG2 + w * (LG4 + w * LG6));
-    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    let r = t2 + t1;
-    let dk = f64::from(k);
-    s * (hfsq + r) + dk * LN2_LO - hfsq + f + dk * LN2_HI
-}
-
-/// `(sin θ, cos θ)` for `θ` in `[0, 2π]`, branchless: Cody–Waite reduction
-/// by `π/2` with magic-number rounding (`round()` is a libm call on
-/// baseline x86-64), fdlibm's `__kernel_sin`/`__kernel_cos` polynomials on
-/// `[-π/4, π/4]`, and a bit-select for the quadrant. Within
-/// `FAST_REL_ERR/100` absolute of libm (pinned by the tests).
-#[inline]
-fn fast_sin_cos(theta: f64) -> (f64, f64) {
-    /// `1.5·2^52`: adding it rounds to an integer held in the low bits.
-    const ROUND: f64 = 6_755_399_441_055_744.0;
-    /// The first 33 bits of `π/2` (so `n·PIO2_HI` is exact) and the rest.
-    const PIO2_HI: f64 = 1.570_796_326_734_125_6;
-    const PIO2_LO: f64 = 6.077_100_506_506_192e-11;
-    const S1: f64 = -0.166_666_666_666_666_32;
-    const S2: f64 = 0.008_333_333_333_322_49;
-    const S3: f64 = -0.000_198_412_698_298_579_5;
-    const S4: f64 = 2.755_731_370_707_006_8e-6;
-    const S5: f64 = -2.505_076_025_340_686_3e-8;
-    const S6: f64 = 1.589_690_995_211_55e-10;
-    const C1: f64 = 0.041_666_666_666_666_6;
-    const C2: f64 = -0.001_388_888_888_887_411;
-    const C3: f64 = 2.480_158_728_947_673e-5;
-    const C4: f64 = -2.755_731_435_139_066_3e-7;
-    const C5: f64 = 2.087_572_321_298_175e-9;
-    const C6: f64 = -1.135_964_755_778_819_5e-11;
-    let shifted = theta * std::f64::consts::FRAC_2_PI + ROUND;
-    let quadrant = shifted.to_bits();
-    let n = shifted - ROUND;
-    // `θ − n·PIO2_HI` is exact (Sterbenz), so only PIO2_LO's rounding and
-    // the ~1e-21 left of π/2 add to the reduced argument's error.
-    let x = (theta - n * PIO2_HI) - n * PIO2_LO;
-    let z = x * x;
-    let w = z * z;
-    let r = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
-    let sin = x + z * x * (S1 + z * r);
-    let r = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
-    let hz = 0.5 * z;
-    let one_minus_hz = 1.0 - hz;
-    let cos = one_minus_hz + (((1.0 - one_minus_hz) - hz) + z * r);
-    // Quadrant q: (sin, cos) of θ is (s, c), (c, −s), (−s, −c), (−c, s).
-    let swap = 0u64.wrapping_sub(quadrant & 1);
-    let (s, c) = (sin.to_bits(), cos.to_bits());
-    let sin_bits = ((s & !swap) | (c & swap)) ^ ((quadrant & 2) << 62);
-    let cos_bits = ((c & !swap) | (s & swap)) ^ (((quadrant + 1) & 2) << 62);
-    (f64::from_bits(sin_bits), f64::from_bits(cos_bits))
 }
 
 /// Whole pairs per chunk of [`Gaussian::threshold_read`]. Its buffers
@@ -637,69 +463,33 @@ fn noise_bound(u1: f64, sigma: f64) -> f64 {
     sigma * (2.0 * k * std::f64::consts::LN_2).sqrt() * (1.0 + 1e-9)
 }
 
-/// Decides both cells of each pair of a [`Gaussian::threshold_read`]
-/// chunk from the pair's [`noise_bound`]. `outcomes` gets each cell's
-/// outcome at `t = -bound`, and `open[p]` says whether either cell of pair
-/// `p` reads differently at `t = +bound`. The rounded sum `v + t` is
-/// monotone in `t`, and `max(m, 0) < vref` is monotone in `m`, so the
-/// outcome of a pair that is not open holds for every noise the pair can
-/// carry. The loop is branch-free, so it vectorizes; on x86-64 it runs at
-/// the widest vector width the CPU offers, with the same IEEE operations
-/// at every width.
-fn decide_pairs(
-    u1: &[f64],
-    cells: &[f32],
-    sigma: f64,
-    vref: f64,
-    outcomes: &mut [u8],
-    open: &mut [bool],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, as just checked.
-        return unsafe { decide_pairs_avx2(u1, cells, sigma, vref, outcomes, open) };
-    }
-    decide_pairs_with(u1, cells, sigma, vref, outcomes, open);
-}
-
-/// [`decide_pairs`] compiled for AVX2 (4 lanes instead of SSE2's 2).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn decide_pairs_avx2(
-    u1: &[f64],
-    cells: &[f32],
-    sigma: f64,
-    vref: f64,
-    outcomes: &mut [u8],
-    open: &mut [bool],
-) {
-    decide_pairs_with(u1, cells, sigma, vref, outcomes, open);
-}
-
-/// The body of [`decide_pairs`], inlined into each target-feature
-/// variant.
-#[inline(always)]
-fn decide_pairs_with(
-    u1: &[f64],
-    cells: &[f32],
-    sigma: f64,
-    vref: f64,
-    outcomes: &mut [u8],
-    open: &mut [bool],
-) {
-    let read = |v: f32, t: f64| (f64::from(v) + t).max(0.0) < vref;
-    let pairs = u1.iter().zip(cells.chunks_exact(2)).zip(outcomes.chunks_exact_mut(2));
-    for (((&u1, cells), outcomes), open) in pairs.zip(open) {
-        let bound = noise_bound(u1, sigma);
-        let (a, b) = (cells[0], cells[1]);
-        let (lo_a, lo_b) = (read(a, -bound), read(b, -bound));
-        outcomes[0] = u8::from(lo_a);
-        outcomes[1] = u8::from(lo_b);
-        *open = (lo_a != read(a, bound)) | (lo_b != read(b, bound));
+kernel! {
+    /// Decides both cells of each pair of a [`Gaussian::threshold_read`]
+    /// chunk from the pair's [`noise_bound`]. `outcomes` gets each cell's
+    /// outcome at `t = -bound`, and `open[p]` says whether either cell of
+    /// pair `p` reads differently at `t = +bound`. The rounded sum `v + t`
+    /// is monotone in `t`, and `max(m, 0) < vref` is monotone in `m`, so the
+    /// outcome of a pair that is not open holds for every noise the pair can
+    /// carry. The loop is branch-free, so it vectorizes, with the same IEEE
+    /// operations at every level.
+    pub(crate) fn decide_pairs / decide_pairs_at(
+        u1: &[f64],
+        cells: &[f32],
+        sigma: f64,
+        vref: f64,
+        outcomes: &mut [u8],
+        open: &mut [bool],
+    ) {
+        let read = |v: f32, t: f64| (f64::from(v) + t).max(0.0) < vref;
+        let pairs = u1.iter().zip(cells.chunks_exact(2)).zip(outcomes.chunks_exact_mut(2));
+        for (((&u1, cells), outcomes), open) in pairs.zip(open) {
+            let bound = noise_bound(u1, sigma);
+            let (a, b) = (cells[0], cells[1]);
+            let (lo_a, lo_b) = (read(a, -bound), read(b, -bound));
+            outcomes[0] = u8::from(lo_a);
+            outcomes[1] = u8::from(lo_b);
+            *open = (lo_a != read(a, bound)) | (lo_b != read(b, bound));
+        }
     }
 }
 
@@ -737,6 +527,7 @@ fn erf(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::{assert_levels_agree, u1_samples};
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
@@ -937,138 +728,6 @@ mod tests {
         }
     }
 
-    /// Uniforms covering every binary-exponent bin of `u1` (each bin's
-    /// ends plus random interior points) and the neighbourhood of 1.
-    fn u1_samples(rng: &mut SmallRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        for k in 1..=53 {
-            let lowest = 2f64.powi(-k);
-            out.extend([
-                lowest,
-                lowest * (1.0 + f64::EPSILON),
-                2.0 * lowest * (1.0 - f64::EPSILON),
-            ]);
-            out.extend((0..2000).map(|_| lowest * (1.0 + rng.gen::<f64>())));
-        }
-        out.extend((1..2000).map(|j| 1.0 - j as f64 * 2f64.powi(-53)));
-        out.extend((0..100_000).map(|_| rng.gen::<f64>()).filter(|&u| u > f64::MIN_POSITIVE));
-        out
-    }
-
-    #[test]
-    fn fast_ln_is_within_a_hundredth_of_the_bound() {
-        let mut rng = SmallRng::seed_from_u64(31);
-        for u1 in u1_samples(&mut rng) {
-            let (fast, libm) = (fast_ln(u1), u1.ln());
-            assert!((fast - libm).abs() <= libm.abs() * FAST_REL_ERR / 100.0, "u1 {u1:e}");
-        }
-    }
-
-    #[test]
-    fn fast_sin_cos_is_within_a_hundredth_of_the_bound() {
-        let mut rng = SmallRng::seed_from_u64(32);
-        let tau = std::f64::consts::TAU;
-        let mut thetas: Vec<f64> = (0..200_000).map(|_| tau * rng.gen::<f64>()).collect();
-        // Multiples of π/4 are the reduction's quadrant boundaries; the
-        // exact eighths of a turn are what `u2 = j/8` produces.
-        for j in 0..=8 {
-            let t = j as f64 * std::f64::consts::FRAC_PI_4;
-            let ulps = (-3..=3).map(|d| f64::from_bits(t.to_bits().saturating_add_signed(d)));
-            thetas.extend(ulps);
-            thetas.push(tau * (j as f64 / 8.0));
-        }
-        thetas.push(tau * (1.0 - 2f64.powi(-53)));
-        for theta in thetas {
-            let (sin, cos) = fast_sin_cos(theta);
-            let (libm_sin, libm_cos) = theta.sin_cos();
-            assert!((sin - libm_sin).abs() <= FAST_REL_ERR / 100.0, "sin at {theta}");
-            assert!((cos - libm_cos).abs() <= FAST_REL_ERR / 100.0, "cos at {theta}");
-        }
-    }
-
-    /// A body of [`evaluate_pairs`]: the portable one, the AVX2 one or the
-    /// AVX-512 one.
-    type EvaluateBody = fn(&[f64], &[f64], &mut [[f64; 2]], &mut [[f64; 2]]);
-
-    /// Every body of [`evaluate_pairs`] this CPU can run; prints a note
-    /// for each one it cannot.
-    fn evaluate_bodies() -> Vec<(&'static str, EvaluateBody)> {
-        let mut bodies: Vec<(&'static str, EvaluateBody)> = vec![("portable", evaluate_pairs_with)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU supports AVX2, as just checked.
-                bodies.push(("avx2", |u1, u2, lo, hi| unsafe {
-                    evaluate_pairs_avx2(u1, u2, lo, hi)
-                }));
-            } else {
-                eprintln!("note: this CPU lacks AVX2; its evaluate_pairs body is not checked");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU supports AVX-512F, as just checked.
-                bodies.push(("avx512", |u1, u2, lo, hi| unsafe {
-                    evaluate_pairs_avx512(u1, u2, lo, hi)
-                }));
-            } else {
-                eprintln!("note: this CPU lacks AVX-512F; its evaluate_pairs body is not checked");
-            }
-        }
-        bodies
-    }
-
-    /// What one body of [`map_ends`] gave: its name, its outputs as bits,
-    /// its tie flags and its result.
-    type MapOutput = (&'static str, Vec<u32>, Vec<bool>, bool);
-
-    /// Runs `f` through every body of [`map_ends`] this CPU can run; prints
-    /// a note for each body it cannot run.
-    fn map_ends_bodies<F: Fn(usize, f64) -> f32>(lo: &[f64], hi: &[f64], f: &F) -> Vec<MapOutput> {
-        let run = |body: &dyn Fn(&mut [f32], &mut [bool]) -> bool| {
-            let (mut out, mut tie) = (vec![f32::NAN; lo.len()], vec![true; lo.len()]);
-            let any = body(&mut out, &mut tie);
-            (out.iter().map(|v| v.to_bits()).collect(), tie, any)
-        };
-        let mut outputs = Vec::new();
-        let (out, tie, any) = run(&|out, tie| map_ends_with(lo, hi, out, tie, f));
-        outputs.push(("portable", out, tie, any));
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU supports AVX2, as just checked.
-                let (out, tie, any) =
-                    run(&|out, tie| unsafe { map_ends_avx2(lo, hi, out, tie, f) });
-                outputs.push(("avx2", out, tie, any));
-            } else {
-                eprintln!("note: this CPU lacks AVX2; its map_ends body is not checked");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU supports AVX-512F, as just checked.
-                let (out, tie, any) =
-                    run(&|out, tie| unsafe { map_ends_avx512(lo, hi, out, tie, f) });
-                outputs.push(("avx512", out, tie, any));
-            } else {
-                eprintln!("note: this CPU lacks AVX-512F; its map_ends body is not checked");
-            }
-        }
-        outputs
-    }
-
-    /// A body of [`decide_pairs`]: the portable one, or the AVX2 one.
-    type DecideBody = fn(&[f64], &[f32], f64, f64, &mut [u8], &mut [bool]);
-
-    /// Every body of [`decide_pairs`] this CPU can run.
-    fn decide_bodies() -> Vec<(&'static str, DecideBody)> {
-        let mut bodies: Vec<(&'static str, DecideBody)> = vec![("portable", decide_pairs_with)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, as just checked.
-            bodies.push(("avx2", |u1, cells, sigma, vref, outcomes, open| unsafe {
-                decide_pairs_avx2(u1, cells, sigma, vref, outcomes, open)
-            }));
-        }
-        bodies
-    }
-
     #[test]
     fn evaluate_pairs_bodies_agree() {
         let mut rng = SmallRng::seed_from_u64(34);
@@ -1077,19 +736,11 @@ mod tests {
             let u2: Vec<f64> = (0..u1.len())
                 .map(|j| if j % 2 == 0 { rng.gen::<f64>() } else { (j % 9) as f64 / 8.0 })
                 .collect();
-            let outputs: Vec<_> = evaluate_bodies()
-                .into_iter()
-                .map(|(name, body)| {
-                    let (mut lo, mut hi) =
-                        (vec![[f64::NAN; 2]; u1.len()], vec![[0.0; 2]; u1.len()]);
-                    body(u1, &u2, &mut lo, &mut hi);
-                    let ends = lo.iter().chain(&hi).flatten();
-                    (name, ends.map(|x| x.to_bits()).collect::<Vec<_>>())
-                })
-                .collect();
-            for (name, bits) in &outputs[1..] {
-                assert!(*bits == outputs[0].1, "{name} differs in batch {batch}");
-            }
+            assert_levels_agree(&format!("batch {batch}"), |isa| {
+                let (mut lo, mut hi) = (vec![[f64::NAN; 2]; u1.len()], vec![[0.0; 2]; u1.len()]);
+                evaluate_pairs_at(isa, u1, &u2, &mut lo, &mut hi);
+                lo.iter().chain(&hi).flatten().map(|x| x.to_bits()).collect::<Vec<_>>()
+            });
         }
     }
 
@@ -1102,7 +753,7 @@ mod tests {
         let (u1, u2): (Vec<f64>, Vec<f64>) =
             (0..n / 2).map(|_| Gaussian::uniforms(&mut rng)).unzip();
         let (mut lo, mut hi) = (vec![[0.0; 2]; n / 2], vec![[0.0; 2]; n / 2]);
-        evaluate_pairs_with(&u1, &u2, &mut lo, &mut hi);
+        evaluate_pairs(&u1, &u2, &mut lo, &mut hi);
         let (mut lo, mut hi) = (lo.as_flattened().to_vec(), hi.as_flattened().to_vec());
         for k in (0..n).step_by(7) {
             lo[k] -= 0.3;
@@ -1110,32 +761,30 @@ mod tests {
         }
         let volts: [f32; CHUNK] = page_volts(CHUNK, 38).try_into().expect("a chunk of cells");
         let coupling: [f32; CHUNK] = std::array::from_fn(|_| rng.gen_range(0.0..4.0));
-        let check = |case: &str, outputs: Vec<MapOutput>| {
-            let (_, out, tie, any) = &outputs[0];
-            assert!(*any && tie.iter().any(|&t| !t), "{case}: ties and clean draws both occur");
-            for (name, other_out, other_tie, other_any) in &outputs[1..] {
-                assert!(other_out == out && other_tie == tie && other_any == any, "{name}: {case}");
-            }
-        };
-        check("program", map_ends_bodies(&lo, &hi, &|_, z| (165.0 + 9.0 * z) as f32));
-        let interference = |k: usize, z: f64| {
+        fn check(case: &str, lo: &[f64], hi: &[f64], f: impl Fn(usize, f64) -> f32) {
+            let (_, tie, any) = assert_levels_agree(case, |isa| {
+                let (mut out, mut tie) = (vec![f32::NAN; lo.len()], vec![true; lo.len()]);
+                let any = map_ends_at(isa, lo, hi, &mut out, &mut tie, &f);
+                (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), tie, any)
+            });
+            assert!(any && tie.iter().any(|&t| !t), "{case}: ties and clean draws both occur");
+        }
+        check("program", &lo, &hi, |_, z| (165.0 + 9.0 * z) as f32);
+        check("interference", &lo, &hi, |k, z| {
             let v = volts[k];
             let damping = (1.0 - f64::from(v.max(0.0)) / 110.0).clamp(0.0, 1.0);
             v + ((4.2 + 1.8 * z).max(0.0) * f64::from(coupling[k]) * damping) as f32
-        };
-        check("interference", map_ends_bodies(&lo, &hi, &interference));
+        });
         for sigma in [0.6, 2.4, 40.0] {
-            let probe = |k: usize, z: f64| {
+            check(&format!("probe sigma {sigma}"), &lo, &hi, |k, z| {
                 let measured = f64::from(volts[k]) + (0.0 + sigma * z);
                 measured.round().clamp(0.0, 255.0) as f32
-            };
-            check(&format!("probe sigma {sigma}"), map_ends_bodies(&lo, &hi, &probe));
+            });
         }
-        let retention = |k: usize, z: f64| {
+        check("retention", &lo, &hi, |k, z| {
             let v = f64::from(volts[k]);
             (v - 0.01 * v.abs() + (0.0 + 0.05 * z)).max(-61.0) as f32
-        };
-        check("retention", map_ends_bodies(&lo, &hi, &retention));
+        });
     }
 
     #[test]
@@ -1153,20 +802,13 @@ mod tests {
                 )
                 .collect();
             for sigma in [0.0, 0.6, 2.4, 1e3] {
-                let outputs: Vec<_> = decide_bodies()
-                    .into_iter()
-                    .map(|(name, body)| {
-                        let mut outcomes = vec![7u8; cells.len()];
-                        let mut open = vec![false; u1s.len()];
-                        body(&u1s, &cells, sigma, vref, &mut outcomes, &mut open);
-                        (name, outcomes, open)
-                    })
-                    .collect();
-                let (_, outcomes, open) = &outputs[0];
                 let case = format!("sigma {sigma} vref {vref}");
-                for (name, other_outcomes, other_open) in &outputs[1..] {
-                    assert!(other_outcomes == outcomes && other_open == open, "{name}: {case}");
-                }
+                let (outcomes, open) = assert_levels_agree(&case, |isa| {
+                    let mut outcomes = vec![7u8; cells.len()];
+                    let mut open = vec![false; u1s.len()];
+                    decide_pairs_at(isa, &u1s, &cells, sigma, vref, &mut outcomes, &mut open);
+                    (outcomes, open)
+                });
                 assert!(outcomes.iter().all(|&b| b <= 1), "{case}");
                 let opened = open.iter().filter(|&&o| o).count();
                 if sigma == 0.0 {
