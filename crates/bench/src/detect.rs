@@ -7,7 +7,7 @@
 
 use crate::{f, fill_block, fill_block_hiding, Run};
 use stash_crypto::HidingKey;
-use stash_flash::{BlockId, Chip, ChipProfile, Histogram, PageId};
+use stash_flash::{BlockId, Chip, ChipProfile, Histogram, NandDevice, PageId};
 use stash_svm::{grid_search, Dataset, StandardScaler, Svm};
 use std::collections::HashMap;
 use vthi::VthiConfig;

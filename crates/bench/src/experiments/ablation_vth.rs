@@ -9,7 +9,7 @@ use crate::{block_histograms,
     experiment_key, f, fill_block, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config,
     rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, Histogram};
+use stash_flash::{BitErrorStats, BlockId, Chip, Histogram, NandDevice};
 
 const BLOCKS: u32 = 3;
 const VTHS: [u8; 6] = [20, 27, 34, 42, 50, 60];

@@ -7,7 +7,7 @@ use crate::rng;
 use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, Run,
 };
-use stash_flash::{BlockId, Chip, ChipProfile, Geometry};
+use stash_flash::{BlockId, Chip, ChipProfile, Geometry, NandDevice};
 
 pub fn run(r: &mut Run) {
     let key = experiment_key();

@@ -14,7 +14,7 @@ use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, measure_public_ber, outln,
     raw_paper_config, rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot};
+use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot, NandDevice};
 
 const BLOCKS: u32 = 4;
 const PECS: [u32; 3] = [0, 1000, 2000];

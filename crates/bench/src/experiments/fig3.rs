@@ -6,7 +6,7 @@
 //! (b) programmed cells over 120–210. Columns: level, PEC0..PEC3000.
 
 use crate::{block_histograms, fill_block, outln, rng, short_block_profile, Run};
-use stash_flash::{BlockId, Chip, Histogram};
+use stash_flash::{BlockId, Chip, Histogram, NandDevice};
 
 pub fn run(r: &mut Run) {
     let profile = short_block_profile(r.scale);

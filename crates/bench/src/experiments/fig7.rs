@@ -13,7 +13,7 @@ use crate::{
     experiment_key, f, fill_block_hiding, measure_hidden_ber, outln, raw_paper_config, rng,
     short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot};
+use stash_flash::{BitErrorStats, BlockId, Chip, MeterSnapshot, NandDevice};
 
 const BLOCKS: u32 = 5;
 const INTERVALS: [u32; 4] = [0, 1, 2, 4];

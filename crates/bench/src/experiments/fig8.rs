@@ -7,7 +7,7 @@ use crate::{
     block_histograms, experiment_key, f, fill_block, fill_block_hiding, outln, raw_paper_config,
     rng, short_block_profile, Run,
 };
-use stash_flash::{BlockId, Chip, Histogram};
+use stash_flash::{BlockId, Chip, Histogram, NandDevice};
 
 const BLOCKS: u32 = 3;
 const BITS: [usize; 4] = [32, 64, 128, 256];

@@ -7,7 +7,7 @@ use crate::{
     experiment_key, f, fill_block, fill_block_hiding, measure_public_ber, outln, raw_paper_config,
     rng, short_block_profile, Run,
 };
-use stash_flash::{BitErrorStats, BlockId, Chip};
+use stash_flash::{BitErrorStats, BlockId, Chip, NandDevice};
 
 const BLOCKS: u32 = 48;
 

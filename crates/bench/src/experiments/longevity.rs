@@ -17,7 +17,7 @@
 
 use crate::{experiment_key, f, outln, Run};
 use pthi::{PthiConfig, PthiHider};
-use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
+use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash_ftl::{AccessPattern, Ftl, FtlConfig, WorkloadGen};
 use stash_stego::{HiddenVolume, StegoConfig};
 

@@ -10,7 +10,7 @@
 
 use crate::{experiment_key, f, outln, rng, Run};
 use rand::Rng;
-use stash_flash::{BitErrorStats, BitPattern, BlockId, Chip, ChipProfile, PageId};
+use stash_flash::{BitErrorStats, BitPattern, BlockId, Chip, ChipProfile, NandDevice, PageId};
 use vthi::{MlcHideConfig, MlcHider};
 
 const WORDLINES: u32 = 24;

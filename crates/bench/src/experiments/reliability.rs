@@ -9,7 +9,7 @@ use crate::{
     short_block_profile, Run,
 };
 use pthi::{PthiConfig, PthiHider};
-use stash_flash::{BitErrorStats, BlockId, Chip, PageId};
+use stash_flash::{BitErrorStats, BlockId, Chip, NandDevice, PageId};
 
 const BLOCKS: u32 = 4;
 const PECS: [u32; 4] = [0, 1000, 2000, 3000];

@@ -6,7 +6,7 @@
 
 use crate::{outln, rng, Run};
 use rand::Rng;
-use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
+use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash_ftl::{Ftl, FtlConfig};
 use stash_stego::{HiddenVolume, StegoConfig};
 

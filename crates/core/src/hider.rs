@@ -90,11 +90,6 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         self
     }
 
-    /// The fault-recovery policy in use.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Runs one flash operation under the retry policy: transient failures
     /// are retried up to `max_retries` times with exponential backoff
     /// charged to simulated time.

@@ -18,7 +18,7 @@
 //!   bits are uniform and survive the scheme's 0.5–2% raw BER.
 //!
 //! ```
-//! use stash_flash::{Chip, ChipProfile, BitPattern, BlockId, PageId};
+//! use stash_flash::{Chip, ChipProfile, BitPattern, BlockId, NandDevice, PageId};
 //! use stash_crypto::HidingKey;
 //! use vthi::{Hider, VthiConfig};
 //! use rand::{rngs::SmallRng, SeedableRng};

@@ -23,7 +23,7 @@ use crate::error::HideError;
 use crate::payload::{decode_payload, encode_payload};
 use crate::select::page_stream_id;
 use stash_crypto::{HidingKey, SelectionPrng};
-use stash_flash::{BitPattern, Chip, Level, PageId};
+use stash_flash::{BitPattern, Chip, Level, NandDevice, PageId};
 
 /// Configuration for MLC-lobe hiding.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,7 +8,7 @@
 //! * [`RetryPolicy`] bounds retries of *transient* flash faults
 //!   ([`FlashError::TransientProgramFail`], [`FlashError::EraseFail`]) with
 //!   exponential backoff charged to **simulated** time
-//!   ([`Chip::advance_time_us`](stash_flash::Chip::advance_time_us)) — no
+//!   ([`advance_time_us`](stash_flash::NandDevice::advance_time_us)) — no
 //!   wall-clock sleeping;
 //! * a `Vth` sweep list: when a hidden-data decode fails, or succeeds only
 //!   after correcting more bits than the ECC watermark, the decoder re-reads

@@ -72,16 +72,6 @@ impl GaloisField {
         self.exp[i % self.n]
     }
 
-    /// Discrete log of a nonzero element.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero, which has no logarithm.
-    pub fn log_of(&self, a: u16) -> usize {
-        assert!(a != 0, "log of zero");
-        self.log[a as usize] as usize
-    }
-
     /// Field multiplication.
     pub fn mul(&self, a: u16, b: u16) -> u16 {
         if a == 0 || b == 0 {

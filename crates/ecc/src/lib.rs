@@ -9,13 +9,8 @@
 //! * [`gf`] — GF(2^m) arithmetic (log/antilog tables);
 //! * [`bch`] — binary BCH codes with syndrome decoding (Berlekamp–Massey +
 //!   Chien search), the workhorse for hidden payloads;
-//! * [`hamming`] — extended Hamming SEC-DED, for light-weight comparisons;
-//! * [`repetition`] — the simplest baseline;
-//! * [`interleave`] — block interleaving to spread bursty interference;
 //! * [`rs`] — Reed–Solomon over GF(2^8), the classic flash-controller code
-//!   (byte symbols absorb bursty interference errors);
-//! * [`parity`] — XOR parity groups across pages (RAID-style, paper §8
-//!   suggests RAID-like schemes for hidden data protection).
+//!   (byte symbols absorb bursty interference errors).
 //!
 //! All codes speak one vocabulary, the [`BlockCode`] trait over bit slices.
 //!
@@ -41,10 +36,6 @@
 
 pub mod bch;
 pub mod gf;
-pub mod hamming;
-pub mod interleave;
-pub mod parity;
-pub mod repetition;
 pub mod rs;
 
 use std::fmt;

@@ -93,11 +93,6 @@ impl<D: NandDevice> ArrayDevice<D> {
         &mut self.chips[i]
     }
 
-    /// Dissolves the array back into its chips.
-    pub fn into_chips(self) -> Vec<D> {
-        self.chips
-    }
-
     /// Blocks per member chip (the widened geometry exposes
     /// `chips × local_blocks`).
     pub fn local_blocks(&self) -> u32 {
@@ -353,18 +348,6 @@ impl<D: NandDevice> NandDevice for ArrayDevice<D> {
             .map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
     }
 
-    fn read_page(&mut self, p: PageId) -> Result<BitPattern> {
-        let (c, lp) = self.locate_page(p);
-        self.chips[c].read_page(lp).map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
-    }
-
-    fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern> {
-        let (c, lp) = self.locate_page(p);
-        self.chips[c]
-            .read_page_shifted(lp, vref)
-            .map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
-    }
-
     fn read_page_shifted_into(
         &mut self,
         p: PageId,
@@ -375,11 +358,6 @@ impl<D: NandDevice> NandDevice for ArrayDevice<D> {
         self.chips[c]
             .read_page_shifted_into(lp, vref, out)
             .map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
-    }
-
-    fn probe_voltages(&mut self, p: PageId) -> Result<Vec<Level>> {
-        let (c, lp) = self.locate_page(p);
-        self.chips[c].probe_voltages(lp).map_err(|e| rebase_error(e, p.block.0 - lp.block.0))
     }
 
     fn probe_voltages_into(&mut self, p: PageId, out: &mut Vec<Level>) -> Result<()> {

@@ -4,7 +4,7 @@
 //! PT-HI stress damage, manufacturing offsets) and materializes the bulky
 //! per-cell voltage state lazily — a paper-geometry block holds 37 M cells,
 //! so experiments touch a handful of blocks at a time and may
-//! [`discard`](crate::Chip::discard_block_state) voltage state they are done
+//! [`discard`](crate::NandDevice::discard_block_state) voltage state they are done
 //! with while keeping the block's physical identity (wear, offsets, damage).
 
 use std::collections::HashMap;

@@ -4,6 +4,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::bits::BitPattern;
 use crate::block::{BlockMeta, VoltState};
+use crate::device::NandDevice;
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PageId};
 use crate::latent;
@@ -12,7 +13,7 @@ use crate::noise::{Gaussian, CHUNK};
 use crate::profile::ChipProfile;
 use crate::rng::ChipRng;
 use crate::snapshot::{DeviceState, SnapshotError, StateReader, StateWriter};
-use crate::{Level, Result, SLC_READ_REF};
+use crate::{Level, Result};
 
 /// Cells at or above this true voltage are treated as programmed for
 /// interference purposes (programmed cells' charge dwarfs coupling bumps,
@@ -35,7 +36,8 @@ const COUPLING_CACHE_MAX_CELLS: usize = 16 << 20;
 /// different physical samples of the same chip model (the paper
 /// characterizes four samples of the vendor-A model).
 ///
-/// See the [crate docs](crate) for a usage example.
+/// The tester commands are the chip's [`NandDevice`] implementation. See
+/// the [crate docs](crate) for a usage example.
 #[derive(Debug, Clone)]
 pub struct Chip {
     profile: ChipProfile,
@@ -62,8 +64,9 @@ pub struct Chip {
     recycled: Recycled,
 }
 
-/// Block-sized buffers kept across [`Chip::discard_block_state`] for the
-/// next block that materializes. A sweep that materializes, uses and
+/// Block-sized buffers kept across
+/// [`discard_block_state`](NandDevice::discard_block_state) for the next
+/// block that materializes. A sweep that materializes, uses and
 /// discards one block after another would otherwise free two block-sized
 /// allocations per block, which the allocator may hand back to the OS and
 /// then fault in again page by page. Every value is rewritten before it is
@@ -158,28 +161,30 @@ impl Chip {
         }
     }
 
-    /// The package geometry.
-    pub fn geometry(&self) -> &Geometry {
+    /// The current read-noise multiplier.
+    pub fn read_noise_scale(&self) -> f64 {
+        self.read_noise_scale
+    }
+}
+
+impl NandDevice for Chip {
+    fn geometry(&self) -> &Geometry {
         &self.profile.geometry
     }
 
-    /// The calibration profile.
-    pub fn profile(&self) -> &ChipProfile {
+    fn profile(&self) -> &ChipProfile {
         &self.profile
     }
 
-    /// The sample seed.
-    pub fn seed(&self) -> u64 {
+    fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// Cumulative operation counts, simulated device time and energy.
-    pub fn meter(&self) -> MeterSnapshot {
+    fn meter(&self) -> MeterSnapshot {
         self.meter.snapshot()
     }
 
-    /// Zeroes the operation meter (e.g. after preconditioning).
-    pub fn reset_meter(&mut self) {
+    fn reset_meter(&mut self) {
         self.meter.reset();
     }
 
@@ -188,7 +193,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn block_pec(&self, b: BlockId) -> Result<u32> {
+    fn block_pec(&self, b: BlockId) -> Result<u32> {
         self.check_block(b)?;
         Ok(self.blocks[b.0 as usize].pec)
     }
@@ -198,7 +203,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn mark_bad(&mut self, b: BlockId) -> Result<()> {
+    fn mark_bad(&mut self, b: BlockId) -> Result<()> {
         self.check_block(b)?;
         self.blocks[b.0 as usize].bad = true;
         Ok(())
@@ -209,7 +214,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn is_bad(&self, b: BlockId) -> Result<bool> {
+    fn is_bad(&self, b: BlockId) -> Result<bool> {
         self.check_block(b)?;
         Ok(self.blocks[b.0 as usize].bad)
     }
@@ -223,7 +228,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn grow_bad_block(&mut self, b: BlockId) -> Result<()> {
+    fn grow_bad_block(&mut self, b: BlockId) -> Result<()> {
         self.check_block(b)?;
         if !self.blocks[b.0 as usize].grown_bad {
             self.blocks[b.0 as usize].grown_bad = true;
@@ -238,14 +243,12 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn is_grown_bad(&self, b: BlockId) -> Result<bool> {
+    fn is_grown_bad(&self, b: BlockId) -> Result<bool> {
         self.check_block(b)?;
         Ok(self.blocks[b.0 as usize].grown_bad)
     }
 
-    /// Advances simulated wall-clock time without issuing an operation
-    /// (retry backoff); accounted separately in the meter's `wait_time_us`.
-    pub fn advance_time_us(&mut self, us: f64) {
+    fn advance_time_us(&mut self, us: f64) {
         assert!(us >= 0.0, "time cannot run backwards");
         self.meter.add_wait_us(us);
     }
@@ -253,14 +256,9 @@ impl Chip {
     /// Scales the read-noise sigma applied by subsequent reads and probes
     /// (`1.0` = the profile's calibrated noise). Fault middleware uses this
     /// to apply noise-spike windows without owning the read path.
-    pub fn set_read_noise_scale(&mut self, scale: f64) {
+    fn set_read_noise_scale(&mut self, scale: f64) {
         assert!(scale >= 0.0, "noise scale cannot be negative");
         self.read_noise_scale = scale;
-    }
-
-    /// The current read-noise multiplier.
-    pub fn read_noise_scale(&self) -> f64 {
-        self.read_noise_scale
     }
 
     /// Whether a page has been programmed since its block's last erase.
@@ -268,7 +266,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns an addressing error for an invalid page.
-    pub fn is_page_programmed(&self, p: PageId) -> Result<bool> {
+    fn is_page_programmed(&self, p: PageId) -> Result<bool> {
         self.check_page(p)?;
         Ok(self.blocks[p.block.0 as usize]
             .state
@@ -286,7 +284,7 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for an invalid block.
-    pub fn discard_block_state(&mut self, b: BlockId) -> Result<()> {
+    fn discard_block_state(&mut self, b: BlockId) -> Result<()> {
         self.check_block(b)?;
         let meta = &mut self.blocks[b.0 as usize];
         if let Some(state) = meta.state.take() {
@@ -306,12 +304,12 @@ impl Chip {
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks.
-    pub fn erase_block(&mut self, b: BlockId) -> Result<()> {
+    fn erase_block(&mut self, b: BlockId) -> Result<()> {
         self.check_usable_block(b)?;
         self.check_not_grown_bad(b)?;
         self.blocks[b.0 as usize].pec = self.blocks[b.0 as usize].pec.saturating_add(1);
         self.redraw_erased(b);
-        self.meter_record(OpKind::Erase);
+        self.record_op(OpKind::Erase);
         Ok(())
     }
 
@@ -323,7 +321,7 @@ impl Chip {
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks.
-    pub fn cycle_block(&mut self, b: BlockId, n: u32) -> Result<()> {
+    fn cycle_block(&mut self, b: BlockId, n: u32) -> Result<()> {
         self.check_usable_block(b)?;
         self.blocks[b.0 as usize].pec = self.blocks[b.0 as usize].pec.saturating_add(n);
         self.redraw_erased(b);
@@ -340,7 +338,7 @@ impl Chip {
     ///
     /// Fails on invalid addresses, bad blocks, pattern-length mismatch, or
     /// if the page was already programmed since the last erase.
-    pub fn program_page(&mut self, p: PageId, data: &BitPattern) -> Result<()> {
+    fn program_page(&mut self, p: PageId, data: &BitPattern) -> Result<()> {
         self.check_usable_page(p)?;
         self.check_not_grown_bad(p.block)?;
         let cpp = self.profile.geometry.cells_per_page();
@@ -407,7 +405,7 @@ impl Chip {
         // Interference onto this wordline's erased cells and onto neighbors.
         self.apply_interference(p, 1.0);
 
-        self.meter_record(OpKind::Program);
+        self.record_op(OpKind::Program);
         Ok(())
     }
 
@@ -423,7 +421,7 @@ impl Chip {
     /// # Errors
     ///
     /// Fails exactly like [`program_page`](Self::program_page).
-    pub fn program_page_with_spare(
+    fn program_page_with_spare(
         &mut self,
         p: PageId,
         data: &BitPattern,
@@ -444,12 +442,12 @@ impl Chip {
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks.
-    pub fn read_spare(&mut self, p: PageId) -> Result<Option<Vec<u8>>> {
+    fn read_spare(&mut self, p: PageId) -> Result<Option<Vec<u8>>> {
         self.check_usable_page(p)?;
         self.ensure_state(p.block);
         let spare =
             self.blocks[p.block.0 as usize].state.as_ref().unwrap().spares[p.page as usize].clone();
-        self.meter_record(OpKind::Read);
+        self.record_op(OpKind::Read);
         Ok(spare)
     }
 
@@ -463,7 +461,7 @@ impl Chip {
     /// # Errors
     ///
     /// Fails like [`erase_block`](Self::erase_block).
-    pub fn torn_erase_block(&mut self, b: BlockId, fraction: f64) -> Result<()> {
+    fn torn_erase_block(&mut self, b: BlockId, fraction: f64) -> Result<()> {
         self.check_usable_block(b)?;
         self.check_not_grown_bad(b)?;
         self.ensure_state(b);
@@ -475,7 +473,7 @@ impl Chip {
         for (v, &o) in state.voltages.iter_mut().zip(&old) {
             *v = *v * f + o * (1.0 - f);
         }
-        self.meter_record(OpKind::Erase);
+        self.record_op(OpKind::Erase);
         Ok(())
     }
 
@@ -490,7 +488,7 @@ impl Chip {
     ///
     /// Fails on invalid addresses, bad blocks, pattern-length mismatch, or
     /// if the page has not been programmed since the last erase.
-    pub fn partial_program(&mut self, p: PageId, mask: &BitPattern) -> Result<()> {
+    fn partial_program(&mut self, p: PageId, mask: &BitPattern) -> Result<()> {
         self.check_usable_page(p)?;
         self.check_not_grown_bad(p.block)?;
         let cpp = self.profile.geometry.cells_per_page();
@@ -539,7 +537,7 @@ impl Chip {
         self.apply_interference(p, pp_factor);
         self.apply_pp_disturb_defects(p);
 
-        self.meter_record(OpKind::PartialProgram);
+        self.record_op(OpKind::PartialProgram);
         Ok(())
     }
 
@@ -554,12 +552,7 @@ impl Chip {
     ///
     /// Fails on invalid addresses, bad blocks, pattern-length mismatch, or
     /// if the page has not been programmed since the last erase.
-    pub fn fine_partial_program(
-        &mut self,
-        p: PageId,
-        mask: &BitPattern,
-        target: Level,
-    ) -> Result<()> {
+    fn fine_partial_program(&mut self, p: PageId, mask: &BitPattern, target: Level) -> Result<()> {
         self.check_usable_page(p)?;
         self.check_not_grown_bad(p.block)?;
         let cpp = self.profile.geometry.cells_per_page();
@@ -598,46 +591,25 @@ impl Chip {
         self.apply_interference(p, pp_factor);
         self.apply_pp_disturb_defects(p);
 
-        self.meter_record(OpKind::PartialProgram);
+        self.record_op(OpKind::PartialProgram);
         Ok(())
     }
 
-    /// Standard page read against the SLC reference voltage: returns bit `1`
-    /// for cells measured below [`SLC_READ_REF`], bit `0` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid addresses or bad blocks.
-    pub fn read_page(&mut self, p: PageId) -> Result<BitPattern> {
-        self.read_page_shifted(p, SLC_READ_REF)
-    }
-
     /// Page read with a shifted reference voltage — the vendor command
-    /// modern chips expose for retention management (paper §1, [32–35]).
-    /// VT-HI decodes hidden data with a single such read at `Vth`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid addresses or bad blocks.
-    pub fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern> {
-        let mut bits = BitPattern::zeros(0);
-        self.read_page_shifted_into(p, vref, &mut bits)?;
-        Ok(bits)
-    }
-
-    /// [`read_page_shifted`](Self::read_page_shifted) into a caller-owned
-    /// pattern: `out` is resized and refilled, so a Vth sweep or a
-    /// steady-state decode loop reuses one allocation instead of paying a
-    /// fresh `BitPattern` per read. The cells are read in chunks: each
-    /// chunk's uniforms are drawn first, a branch-free pass then decides
-    /// every cell whose noise bound cannot flip its outcome, and only the
-    /// rest get their noise draw evaluated. Results and the RNG stream are
-    /// byte-identical to the historical scalar path.
+    /// modern chips expose for retention management (paper §1, [32–35]);
+    /// VT-HI decodes hidden data with a single such read at `Vth`. `out` is
+    /// resized and refilled, so a Vth sweep or a steady-state decode loop
+    /// reuses one allocation instead of paying a fresh `BitPattern` per
+    /// read. The cells are read in chunks: each chunk's uniforms are drawn
+    /// first, a branch-free pass then decides every cell whose noise bound
+    /// cannot flip its outcome, and only the rest get their noise draw
+    /// evaluated. Results and the RNG stream are byte-identical to the
+    /// historical scalar path.
     ///
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks (leaving `out` empty).
-    pub fn read_page_shifted_into(
+    fn read_page_shifted_into(
         &mut self,
         p: PageId,
         vref: Level,
@@ -661,36 +633,20 @@ impl Chip {
             );
             state.read_count += 1;
         }
-        self.meter_record(OpKind::Read);
+        self.record_op(OpKind::Read);
         Ok(())
     }
 
-    /// Per-cell voltage probe (the NDA characterization command, §6.2):
-    /// returns each cell's measured level, quantized to `0..=255` with
-    /// negative voltages reading as 0.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`probe_voltages_into`](Self::probe_voltages_into) — prefer the
-    /// buffer-reuse form in loops.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid addresses or bad blocks.
-    #[doc(hidden)]
-    pub fn probe_voltages(&mut self, p: PageId) -> Result<Vec<Level>> {
-        let mut out = Vec::new();
-        self.probe_voltages_into(p, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`probe_voltages`](Self::probe_voltages) into a caller-owned buffer:
-    /// `out` is cleared and refilled, so a sweep over many pages reuses one
-    /// allocation instead of paying a fresh `Vec<Level>` per page.
+    /// Per-cell voltage probe (the NDA characterization command, §6.2)
+    /// into a caller-owned buffer: each cell's measured level, quantized to
+    /// `0..=255` with negative voltages reading as 0. `out` is cleared and
+    /// refilled, so a sweep over many pages reuses one allocation instead
+    /// of paying a fresh `Vec<Level>` per page.
     ///
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks (leaving `out` cleared).
-    pub fn probe_voltages_into(&mut self, p: PageId, out: &mut Vec<Level>) -> Result<()> {
+    fn probe_voltages_into(&mut self, p: PageId, out: &mut Vec<Level>) -> Result<()> {
         out.clear();
         self.check_usable_page(p)?;
         self.ensure_state(p.block);
@@ -704,7 +660,7 @@ impl Chip {
             probe_levels(&mut self.gauss, &mut self.rng, volts, sigma, out);
             state.read_count += 1;
         }
-        self.meter_record(OpKind::Probe);
+        self.record_op(OpKind::Probe);
         Ok(())
     }
 
@@ -712,7 +668,7 @@ impl Chip {
     /// materialized cell, faster on worn blocks and faster for charge that
     /// was deposited by partial programming (paper §8 "Reliability"; the
     /// paper emulates this by baking chips in an oven).
-    pub fn age_days(&mut self, days: f64) {
+    fn age_days(&mut self, days: f64) {
         assert!(days >= 0.0, "retention time cannot be negative");
         if days == 0.0 {
             return;
@@ -769,7 +725,7 @@ impl Chip {
     /// # Errors
     ///
     /// Fails on invalid addresses, bad blocks, or pattern-length mismatch.
-    pub fn stress_cells(&mut self, p: PageId, mask: &BitPattern, cycles: u32) -> Result<()> {
+    fn stress_cells(&mut self, p: PageId, mask: &BitPattern, cycles: u32) -> Result<()> {
         self.check_usable_page(p)?;
         self.check_not_grown_bad(p.block)?;
         let cpp = self.profile.geometry.cells_per_page();
@@ -799,7 +755,7 @@ impl Chip {
             state.page_programmed[p.page as usize] = true;
         }
         for _ in 0..cycles {
-            self.meter_record(OpKind::Program);
+            self.record_op(OpKind::Program);
         }
         Ok(())
     }
@@ -814,7 +770,7 @@ impl Chip {
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks.
-    pub fn program_time_probe(&mut self, p: PageId, steps: u16) -> Result<Vec<u16>> {
+    fn program_time_probe(&mut self, p: PageId, steps: u16) -> Result<Vec<u16>> {
         self.check_usable_page(p)?;
         self.check_not_grown_bad(p.block)?;
         self.ensure_state(p.block);
@@ -849,12 +805,25 @@ impl Chip {
             state.page_programmed[p.page as usize] = true;
         }
         for _ in 0..steps {
-            self.meter_record(OpKind::PartialProgram);
-            self.meter_record(OpKind::Read);
+            self.record_op(OpKind::PartialProgram);
+            self.record_op(OpKind::Read);
         }
         Ok(out)
     }
 
+    /// Bills one operation to the meter, at the profile's timing costs.
+    /// Middleware uses this to account failed attempts that never reach the
+    /// chip physics.
+    fn record_op(&mut self, kind: OpKind) {
+        self.meter.record(kind, &self.profile.timing);
+    }
+
+    fn record_fault(&mut self, kind: FaultKind) {
+        self.meter.record_fault(kind);
+    }
+}
+
+impl Chip {
     /// Crate-internal: places one cell of a programmed page at an exact
     /// lobe target (the MLC programming pass).
     pub(crate) fn place_cell_level(&mut self, p: PageId, cell: usize, target: f64, sigma: f64) {
@@ -863,24 +832,6 @@ impl Chip {
         let v = self.gauss.sample_with(&mut self.rng, target, sigma) as f32;
         let state = self.blocks[p.block.0 as usize].state.as_mut().unwrap();
         state.voltages[base + cell] = v;
-    }
-
-    /// Bills one operation to the meter, at the profile's timing costs.
-    /// Middleware uses this to account failed attempts that never reach the
-    /// chip physics.
-    pub fn record_op(&mut self, kind: OpKind) {
-        self.meter.record(kind, &self.profile.timing);
-    }
-
-    /// Records one fault event on the meter.
-    pub fn record_fault(&mut self, kind: FaultKind) {
-        self.meter.record_fault(kind);
-    }
-
-    /// Crate-internal alias of `record_op`, used by the chip's own commands
-    /// and the MLC mode.
-    pub(crate) fn meter_record(&mut self, kind: OpKind) {
-        self.record_op(kind);
     }
 
     // ---- internal helpers -------------------------------------------------
@@ -1369,6 +1320,7 @@ impl DeviceState for Chip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SLC_READ_REF;
 
     fn chip() -> Chip {
         Chip::new(ChipProfile::test_small(), 42)

@@ -24,9 +24,10 @@
 //! consuming the wrapped device's RNG streams or reordering its operations;
 //! decorating a chip with no-op middleware yields byte-identical voltages,
 //! reads and meter snapshots (tested in `tests/backend_parity.rs`).
+//!
+//! [`Chip`]: crate::Chip
 
 use crate::bits::BitPattern;
-use crate::chip::Chip;
 use crate::geometry::{BlockId, Geometry, PageId};
 use crate::meter::{FaultKind, MeterSnapshot, OpKind};
 use crate::profile::ChipProfile;
@@ -278,12 +279,9 @@ impl WearSummary {
 }
 
 /// The chip command surface: what a tester (or controller) can ask a NAND
-/// device to do. [`Chip`] is the reference backend; middleware wrappers
-/// implement the trait by decorating another implementation.
-///
-/// Methods mirror the inherent [`Chip`] API one-for-one — same names, same
-/// signatures, same error types — so code written against `&mut Chip`
-/// becomes generic by swapping the bound, not by rewriting call sites.
+/// device to do. [`Chip`](crate::Chip) is the reference backend, with no
+/// inherent copy of these commands; middleware wrappers implement the trait
+/// by decorating another implementation.
 pub trait NandDevice {
     /// The package geometry.
     fn geometry(&self) -> &Geometry;
@@ -295,7 +293,7 @@ pub trait NandDevice {
     fn seed(&self) -> u64;
 
     /// Number of independently addressed chips behind this device. A bare
-    /// [`Chip`] is 1 (the default); an [`ArrayDevice`](crate::ArrayDevice)
+    /// chip is 1 (the default); an [`ArrayDevice`](crate::ArrayDevice)
     /// reports its member count, and middleware must forward this so the
     /// layers above see the array through any wrapper stack.
     fn chip_count(&self) -> u32 {
@@ -435,8 +433,8 @@ pub trait NandDevice {
 
     /// Programs a page and atomically deposits controller metadata in its
     /// out-of-band spare area. The default discards the spare (a device
-    /// without an OOB region); [`Chip`] stores it so mount-time recovery
-    /// can replay it.
+    /// without an OOB region); a chip stores it so mount-time recovery can
+    /// replay it.
     ///
     /// # Errors
     ///
@@ -504,7 +502,7 @@ pub trait NandDevice {
     }
 
     /// A block erase interrupted `fraction` of the way through its
-    /// discharge. The default falls back to a full erase; [`Chip`] blends
+    /// discharge. The default falls back to a full erase; a chip blends
     /// each cell between its old voltage and a fresh erased draw, leaving
     /// the block in a state a controller must re-erase before reuse.
     ///
@@ -532,7 +530,8 @@ pub trait NandDevice {
     /// page not yet programmed, or injected faults.
     fn fine_partial_program(&mut self, p: PageId, mask: &BitPattern, target: Level) -> Result<()>;
 
-    /// Standard page read against the SLC reference voltage.
+    /// Standard page read against [`SLC_READ_REF`]: bit `1` for cells
+    /// measured below it, bit `0` otherwise.
     ///
     /// # Errors
     ///
@@ -544,15 +543,22 @@ pub trait NandDevice {
     /// Page read with a shifted reference voltage (the retention-management
     /// vendor command VT-HI decodes with).
     ///
+    /// Allocating convenience wrapper over
+    /// [`read_page_shifted_into`](Self::read_page_shifted_into) — prefer
+    /// the buffer-reuse form in loops.
+    ///
     /// # Errors
     ///
     /// Fails on invalid addresses or bad blocks.
-    fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern>;
+    fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern> {
+        let mut bits = BitPattern::zeros(0);
+        self.read_page_shifted_into(p, vref, &mut bits)?;
+        Ok(bits)
+    }
 
     /// [`read_page_shifted`](Self::read_page_shifted) into a caller-owned
     /// pattern; `out` is resized and refilled, so a decode loop reuses one
-    /// allocation per page. The default allocates through
-    /// `read_page_shifted`; [`Chip`] refills `out`'s buffer in place.
+    /// allocation per page.
     ///
     /// # Errors
     ///
@@ -562,18 +568,7 @@ pub trait NandDevice {
         p: PageId,
         vref: Level,
         out: &mut BitPattern,
-    ) -> Result<()> {
-        match self.read_page_shifted(p, vref) {
-            Ok(bits) => {
-                *out = bits;
-                Ok(())
-            }
-            Err(e) => {
-                *out = BitPattern::zeros(0);
-                Err(e)
-            }
-        }
-    }
+    ) -> Result<()>;
 
     /// Multi-`vref` read: reads the same page once per reference voltage,
     /// returning one pattern per `vref`, exactly as the equivalent sequence
@@ -776,118 +771,10 @@ impl<D: NandDevice + ?Sized> NandDevice for &mut D {
     }
 }
 
-impl NandDevice for Chip {
-    fn geometry(&self) -> &Geometry {
-        Chip::geometry(self)
-    }
-    fn profile(&self) -> &ChipProfile {
-        Chip::profile(self)
-    }
-    fn seed(&self) -> u64 {
-        Chip::seed(self)
-    }
-    fn meter(&self) -> MeterSnapshot {
-        Chip::meter(self)
-    }
-    fn reset_meter(&mut self) {
-        Chip::reset_meter(self);
-    }
-    fn record_op(&mut self, kind: OpKind) {
-        Chip::record_op(self, kind);
-    }
-    fn record_fault(&mut self, kind: FaultKind) {
-        Chip::record_fault(self, kind);
-    }
-    fn advance_time_us(&mut self, us: f64) {
-        Chip::advance_time_us(self, us);
-    }
-    fn set_read_noise_scale(&mut self, scale: f64) {
-        Chip::set_read_noise_scale(self, scale);
-    }
-    fn block_pec(&self, b: BlockId) -> Result<u32> {
-        Chip::block_pec(self, b)
-    }
-    fn mark_bad(&mut self, b: BlockId) -> Result<()> {
-        Chip::mark_bad(self, b)
-    }
-    fn is_bad(&self, b: BlockId) -> Result<bool> {
-        Chip::is_bad(self, b)
-    }
-    fn grow_bad_block(&mut self, b: BlockId) -> Result<()> {
-        Chip::grow_bad_block(self, b)
-    }
-    fn is_grown_bad(&self, b: BlockId) -> Result<bool> {
-        Chip::is_grown_bad(self, b)
-    }
-    fn is_page_programmed(&self, p: PageId) -> Result<bool> {
-        Chip::is_page_programmed(self, p)
-    }
-    fn discard_block_state(&mut self, b: BlockId) -> Result<()> {
-        Chip::discard_block_state(self, b)
-    }
-    fn erase_block(&mut self, b: BlockId) -> Result<()> {
-        Chip::erase_block(self, b)
-    }
-    fn cycle_block(&mut self, b: BlockId, n: u32) -> Result<()> {
-        Chip::cycle_block(self, b, n)
-    }
-    fn program_page(&mut self, p: PageId, data: &BitPattern) -> Result<()> {
-        Chip::program_page(self, p, data)
-    }
-    fn program_page_with_spare(
-        &mut self,
-        p: PageId,
-        data: &BitPattern,
-        spare: &[u8],
-    ) -> Result<()> {
-        Chip::program_page_with_spare(self, p, data, spare)
-    }
-    fn read_spare(&mut self, p: PageId) -> Result<Option<Vec<u8>>> {
-        Chip::read_spare(self, p)
-    }
-    fn torn_erase_block(&mut self, b: BlockId, fraction: f64) -> Result<()> {
-        Chip::torn_erase_block(self, b, fraction)
-    }
-    fn partial_program(&mut self, p: PageId, mask: &BitPattern) -> Result<()> {
-        Chip::partial_program(self, p, mask)
-    }
-    fn fine_partial_program(&mut self, p: PageId, mask: &BitPattern, target: Level) -> Result<()> {
-        Chip::fine_partial_program(self, p, mask, target)
-    }
-    fn read_page(&mut self, p: PageId) -> Result<BitPattern> {
-        Chip::read_page(self, p)
-    }
-    fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern> {
-        Chip::read_page_shifted(self, p, vref)
-    }
-    fn read_page_shifted_into(
-        &mut self,
-        p: PageId,
-        vref: Level,
-        out: &mut BitPattern,
-    ) -> Result<()> {
-        Chip::read_page_shifted_into(self, p, vref, out)
-    }
-    fn probe_voltages(&mut self, p: PageId) -> Result<Vec<Level>> {
-        Chip::probe_voltages(self, p)
-    }
-    fn probe_voltages_into(&mut self, p: PageId, out: &mut Vec<Level>) -> Result<()> {
-        Chip::probe_voltages_into(self, p, out)
-    }
-    fn age_days(&mut self, days: f64) {
-        Chip::age_days(self, days);
-    }
-    fn stress_cells(&mut self, p: PageId, mask: &BitPattern, cycles: u32) -> Result<()> {
-        Chip::stress_cells(self, p, mask, cycles)
-    }
-    fn program_time_probe(&mut self, p: PageId, steps: u16) -> Result<Vec<u16>> {
-        Chip::program_time_probe(self, p, steps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::Chip;
     use crate::error::FlashError;
 
     fn generic_roundtrip<D: NandDevice>(dev: &mut D) -> usize {

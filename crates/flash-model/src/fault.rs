@@ -21,7 +21,7 @@
 //!   it was — retries observe no corruption from the failed attempt.
 //!
 //! Grown bad blocks (triggered by a PEC threshold, an explicit schedule
-//! entry, or [`Chip::grow_bad_block`](crate::Chip::grow_bad_block)) reject
+//! entry, or [`grow_bad_block`](crate::NandDevice::grow_bad_block)) reject
 //! program, partial-program and erase operations but **still read**: a real
 //! controller migrates surviving data off a grown bad block, so the model
 //! must let it.

@@ -88,11 +88,6 @@ impl Geometry {
         self.cells_per_page() * self.pages_per_block as usize
     }
 
-    /// Total pages in the chip.
-    pub fn total_pages(&self) -> u64 {
-        u64::from(self.blocks_per_chip) * u64::from(self.pages_per_block)
-    }
-
     /// Iterator over all page ids of one block.
     pub fn pages_of(&self, block: BlockId) -> impl Iterator<Item = PageId> {
         (0..self.pages_per_block).map(move |p| PageId::new(block, p))

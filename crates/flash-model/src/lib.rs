@@ -22,7 +22,7 @@
 //! The top-level type is [`Chip`]. A typical session mirrors a tester script:
 //!
 //! ```
-//! use stash_flash::{Chip, ChipProfile, BitPattern, PageId, BlockId};
+//! use stash_flash::{Chip, ChipProfile, BitPattern, PageId, BlockId, NandDevice};
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), stash_flash::FlashError> {

@@ -160,11 +160,6 @@ impl<D, H> Layer<D, H> {
         &self.inner
     }
 
-    /// The wrapped device, mutably.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// Unwraps the middleware, returning the wrapped device.
     pub fn into_inner(self) -> D {
         self.inner
@@ -335,10 +330,6 @@ impl<D: NandDevice, H: Hook> NandDevice for Layer<D, H> {
         let tear = |d: &mut D, f| d.torn_partial_program(p, mask, f);
         let call = |d: &mut D| d.fine_partial_program(p, mask, target);
         self.run(Op::PartialProgram(p, mask), call, tear, no_out)
-    }
-    fn read_page_shifted(&mut self, p: PageId, vref: Level) -> Result<BitPattern> {
-        let call = |d: &mut D| d.read_page_shifted(p, vref);
-        self.run(Op::Read(p, vref), call, no_tear, |bits| Out::Bits(bits))
     }
     fn read_page_shifted_into(
         &mut self,
@@ -690,12 +681,6 @@ impl<D: NandDevice> Layer<D, FlightHook> {
     /// Wraps a device with a sink installed from the start.
     pub fn with_sink(inner: D, sink: SharedFlightSink) -> Self {
         Layer { inner, hook: FlightHook(Some(sink)) }
-    }
-
-    /// Installs (or, with `None`, removes) the sink. Cloning the wrapper
-    /// shares the sink.
-    pub fn set_sink(&mut self, sink: Option<SharedFlightSink>) {
-        self.hook.0 = sink;
     }
 
     /// The installed sink, if any.

@@ -11,6 +11,7 @@
 //! `01`→L3. Adjacent lobes differ by one bit, like real MLC.
 
 use crate::bits::BitPattern;
+use crate::device::NandDevice;
 use crate::error::FlashError;
 use crate::geometry::PageId;
 use crate::meter::OpKind;
@@ -58,7 +59,7 @@ impl Chip {
             self.place_cell_level(p, i, target, sigma);
         }
         // The second (upper-page) programming pass.
-        self.meter_record(OpKind::Program);
+        self.record_op(OpKind::Program);
         Ok(())
     }
 

@@ -6,7 +6,9 @@
 //! simulator still "is" the paper's chip.
 
 use rand::{rngs::SmallRng, SeedableRng};
-use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Histogram, PageId, SLC_READ_REF};
+use stash_flash::{
+    BitPattern, BlockId, Chip, ChipProfile, Histogram, NandDevice, PageId, SLC_READ_REF,
+};
 
 /// The paper's default hidden-data threshold (§6.1).
 const VTH: u8 = 34;

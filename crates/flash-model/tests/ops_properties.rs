@@ -3,7 +3,7 @@
 //! a failing case names its seed.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, OpKind, PageId};
+use stash_flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, OpKind, PageId};
 
 /// Runs `case` on 32 seeded random streams; a failing case names its seed
 /// before the failure propagates.

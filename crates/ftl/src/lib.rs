@@ -19,9 +19,7 @@
 //! pages, and the free-block allocator prefers the least-worn block.
 
 mod ftl;
-pub mod sector;
 pub mod workload;
 
 pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, Migration, MountReport, WriteReport};
-pub use sector::{SectorDevice, SECTOR_BYTES};
 pub use workload::{AccessPattern, WorkloadGen};

@@ -5,7 +5,6 @@
 
 use crate::json::{write_escaped, write_num};
 use crate::tracer::{SpanNode, TraceEvent, TraceEventKind, TraceReport};
-use stash_flash::{FaultKind, OpKind};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into the `trace_summary` header of every JSONL
@@ -178,33 +177,12 @@ fn collect_collapsed(node: &SpanNode, prefix: String, lines: &mut Vec<(String, u
     }
 }
 
-/// Per-kind totals extracted from a report for machine-readable bench
-/// artifacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KindCounts {
-    /// `(op kind name, count)` for every op kind.
-    pub ops: Vec<(String, u64)>,
-    /// `(fault kind name, count)` for every fault kind.
-    pub faults: Vec<(String, u64)>,
-}
-
-/// Summary counts by op/fault kind name.
-pub fn kind_counts(report: &TraceReport) -> KindCounts {
-    KindCounts {
-        ops: OpKind::ALL.iter().map(|k| (k.to_string(), report.totals.count(*k))).collect(),
-        faults: FaultKind::ALL
-            .iter()
-            .map(|k| (k.to_string(), report.totals.fault_count(*k)))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
     use crate::tracer::Tracer;
-    use stash_flash::Recorder;
+    use stash_flash::{OpKind, Recorder};
 
     fn sample_report() -> TraceReport {
         let t = Tracer::shared();

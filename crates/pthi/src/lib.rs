@@ -17,7 +17,7 @@
 //! benchmarks runs both schemes on identical silicon.
 //!
 //! ```
-//! use stash_flash::{Chip, ChipProfile, BitPattern, BlockId, PageId};
+//! use stash_flash::{Chip, ChipProfile, BitPattern, BlockId, NandDevice, PageId};
 //! use stash_crypto::HidingKey;
 //! use pthi::{PthiConfig, PthiHider};
 //!

@@ -1324,6 +1324,50 @@ mod tests {
     }
 
     #[test]
+    fn two_losses_in_one_parity_group_are_lost_not_rebuilt() {
+        use stash_flash::{FaultDevice, FaultPlan};
+        let chip = FaultDevice::new(Chip::new(small_profile(), 9));
+        let ftl = Ftl::new(chip, FtlConfig { reserve_blocks: 4, gc_low_water: 2 }).unwrap();
+        let mut cfg = StegoConfig::for_geometry(ftl.chip().geometry());
+        cfg.parity_group = 3; // groups {0, 1, 2} and {3, 4, 5}
+        let mut vol = HiddenVolume::format(ftl, key(), cfg.clone(), 6).unwrap();
+        let cap = vol.ftl().capacity_pages();
+        fill_public(&mut vol, cap, 20);
+        let secrets: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; vol.slot_bytes()]).collect();
+        for (i, s) in secrets.iter().enumerate() {
+            vol.write_hidden(i, s).unwrap();
+        }
+
+        // Slots 0 and 1 die hard while the volume is unmounted (the stuck
+        // alternating pattern of the scrub test above). Their group keeps
+        // slot 2 and its parity slot: one member short of an XOR rebuild.
+        let victims: Vec<_> = [0, 1]
+            .iter()
+            .map(|&s| vol.ftl.physical_of(vol.slot_lpn[vol.internal_slot(s)]).unwrap())
+            .collect();
+        let mut ftl_back = vol.unmount();
+        let cpp = ftl_back.chip().geometry().cells_per_page();
+        let mut plan = FaultPlan::new(1);
+        for victim in &victims {
+            let base = victim.page as usize * cpp;
+            for i in 0..cpp {
+                let level = if i % 2 == 0 { 5 } else { 120 };
+                plan = plan.with_stuck_cell(victim.block, base + i, level);
+            }
+        }
+        ftl_back.chip_mut().set_plan(plan);
+
+        let (mut vol2, report) = HiddenVolume::remount(ftl_back, key(), cfg, 6).unwrap();
+        assert_eq!(report.lost, 2, "{report:?}");
+        assert_eq!(report.reconstructed, 0, "{report:?}");
+        assert_eq!(vol2.read_hidden(0).unwrap(), None);
+        assert_eq!(vol2.read_hidden(1).unwrap(), None);
+        for (s, secret) in secrets.iter().enumerate().skip(2) {
+            assert_eq!(vol2.read_hidden(s).unwrap().as_ref(), Some(secret), "slot {s}");
+        }
+    }
+
+    #[test]
     fn integrity_tag_rejects_mis_tagged_payload_and_parity_rebuilds() {
         let ftl = make_ftl(10);
         let mut cfg = StegoConfig::for_geometry(ftl.chip().geometry());

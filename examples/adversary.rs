@@ -12,7 +12,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Histogram, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Histogram, NandDevice, PageId};
 use stash::svm::{grid_search, Dataset};
 use stash::vthi::{Hider, VthiConfig};
 

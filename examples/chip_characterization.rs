@@ -8,7 +8,9 @@
 //! ```
 
 use rand::{rngs::SmallRng, SeedableRng};
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, Histogram, PageId};
+use stash::flash::{
+    BitPattern, BlockId, Chip, ChipProfile, Geometry, Histogram, NandDevice, PageId,
+};
 
 fn characterize(chip: &mut Chip, block: BlockId, rng: &mut SmallRng) -> (Histogram, Histogram) {
     let cpp = chip.geometry().cells_per_page();

@@ -7,7 +7,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, Chip, ChipProfile};
+use stash::flash::{BitPattern, Chip, ChipProfile, NandDevice};
 use stash::ftl::{Ftl, FtlConfig};
 use stash::stego::{HiddenVolume, StegoConfig};
 

@@ -8,7 +8,7 @@
 
 use rand::{rngs::SmallRng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash::vthi::{Hider, VthiConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

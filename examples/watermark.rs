@@ -12,7 +12,7 @@
 //! ```
 
 use stash::crypto::{hmac_sha256, HidingKey};
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, NandDevice, PageId};
 use stash::vthi::{Hider, VthiConfig};
 
 /// Splits a document into page-sized public bit patterns (padded).

@@ -14,8 +14,9 @@ verify:
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
 # full workspace test suite, the benchmark's own unit tests (they pin
 # BENCHMARK.json's metric list against the code), every crate's docs,
-# private items included, with warnings denied, bench smoke, and the
-# committed results/ against a fresh run of the fast experiments.
+# private items included, with warnings denied, the crash, array and
+# postmortem smokes, the regression sentinel, and the committed results/
+# against a fresh run of the fast experiments.
 ci:
     if grep -n '^source = ' Cargo.lock perfbench/Cargo.lock; then echo "a lockfile names a registry package" >&2; exit 1; fi
     cargo fmt --all --check
@@ -23,7 +24,6 @@ ci:
     cargo test -q --workspace --locked
     cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --workspace --locked
-    just bench-smoke
     just crash-smoke
     just array-smoke
     just postmortem-smoke
@@ -46,15 +46,6 @@ reproduce-check:
     cd target/reproduce-check && ../release/reproduce fig1 fig2 fig3 fig5 fig9 applicability snapshots mlc_future chaos crashpoints table1
     for f in fig1 fig2 fig3 fig5 fig9 applicability snapshots mlc_future chaos crashpoints table1; do diff -u results/$f.txt target/reproduce-check/results/$f.txt || exit 1; done
     for f in chaos crashpoints table1; do for ext in jsonl folded; do diff -q results/TRACE_$f.$ext target/reproduce-check/results/TRACE_$f.$ext || exit 1; done; done
-
-# Bench smoke: table1 + fig6 at --smoke scale (scratch dir, so the
-# committed full-geometry results/ artifacts stay untouched), then check
-# that the BENCH_*.json artifacts exist and parse. Fast enough for CI.
-bench-smoke:
-    cargo build --release -p stash-bench --bins
-    rm -rf target/bench-smoke && mkdir -p target/bench-smoke
-    cd target/bench-smoke && ../release/reproduce --smoke table1 fig6
-    ./target/release/bench_check target/bench-smoke/results/BENCH_table1.json target/bench-smoke/results/BENCH_fig6.json target/bench-smoke/results/TRACE_table1.jsonl target/bench-smoke/results/TRACE_table1.folded
 
 # Crash-consistency smoke: a scaled crash-point matrix (64 cuts under
 # --smoke; the full 200+-point matrix runs in `cargo test` via
@@ -88,15 +79,16 @@ postmortem-smoke:
 
 # Regression sentinel: re-run the deterministic trio (table1 + fig6 at
 # --smoke scale, chaos at full size) into a scratch dir, validate the
-# artifacts and the run history, then diff every deterministic metric
-# against the committed baseline within its tolerance band. Exits non-zero
-# on any drift — this is the CI gate against silent metric regressions.
+# artifacts (table1's trace included) and the run history, then diff
+# every deterministic metric against the committed baseline within its
+# tolerance band. Exits non-zero on any drift — this is the CI gate
+# against silent metric regressions.
 bench-compare:
     cargo build --release -p stash-bench --bins
     rm -rf target/bench-compare && mkdir -p target/bench-compare
     cd target/bench-compare && ../release/reproduce --smoke table1 fig6
     cd target/bench-compare && ../release/reproduce chaos
-    ./target/release/bench_check target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json target/bench-compare/results/HISTORY.jsonl
+    ./target/release/bench_check target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json target/bench-compare/results/HISTORY.jsonl target/bench-compare/results/TRACE_table1.jsonl target/bench-compare/results/TRACE_table1.folded
     ./target/release/bench_compare results/BASELINE.json target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json
 
 # Refresh the committed baseline from a fresh run of the same trio. Run

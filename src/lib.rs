@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`flash`] | `stash-flash` | Voltage-level NAND simulator (the paper's chips + tester) |
 //! | [`crypto`] | `stash-crypto` | SHA-256 / HMAC / ChaCha20 / keyed cell selection |
-//! | [`ecc`] | `stash-ecc` | BCH, Hamming, repetition, interleaving, parity groups |
+//! | [`ecc`] | `stash-ecc` | GF(2^m), BCH, Reed–Solomon |
 //! | [`vthi`] | `vthi` | **VT-HI — the paper's contribution** |
 //! | [`pthi`] | `pthi` | PT-HI baseline (Wang et al., S&P '13) |
 //! | [`svm`] | `stash-svm` | The SVM detectability adversary of §7 |
@@ -20,7 +20,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use stash::flash::{Chip, ChipProfile, BitPattern, BlockId, PageId};
+//! use stash::flash::{Chip, ChipProfile, BitPattern, BlockId, NandDevice, PageId};
 //! use stash::crypto::HidingKey;
 //! use stash::vthi::{Hider, VthiConfig};
 //! use rand::{rngs::SmallRng, SeedableRng};

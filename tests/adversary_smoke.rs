@@ -6,7 +6,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Histogram, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Histogram, NandDevice, PageId};
 use stash::svm::{k_fold_accuracy, Dataset, Kernel, SvmParams};
 use stash::vthi::{EccChoice, Hider, VthiConfig};
 

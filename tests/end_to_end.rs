@@ -4,7 +4,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash::vthi::{Hider, VthiConfig};
 
 fn fill_other_pages(chip: &mut Chip, block: BlockId, stride: u32, rng: &mut SmallRng) {

@@ -6,7 +6,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, Chip, ChipProfile, Geometry, PageId};
+use stash::flash::{BitPattern, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash::ftl::{Ftl, FtlConfig};
 use stash::stego::{HiddenVolume, StegoConfig};
 

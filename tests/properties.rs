@@ -4,7 +4,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, PageId};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice, PageId};
 use stash::vthi::{EccChoice, Hider, SelectionMode, VthiConfig};
 
 /// A quick chip: vendor-A physics, small pages.

@@ -6,7 +6,7 @@
 use rand::{rngs::SmallRng, SeedableRng};
 use stash::crypto::HidingKey;
 use stash::flash::snapshot::{self, checkpoint_bytes};
-use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry};
+use stash::flash::{BitPattern, BlockId, Chip, ChipProfile, Geometry, NandDevice};
 use stash::ftl::{AccessPattern, Ftl, FtlConfig, WorkloadGen};
 use stash::stego::{HiddenVolume, StegoConfig};
 

@@ -3,7 +3,7 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use stash::crypto::HidingKey;
-use stash::flash::{BitPattern, Chip, ChipProfile, Geometry};
+use stash::flash::{BitPattern, Chip, ChipProfile, Geometry, NandDevice};
 use stash::ftl::{Ftl, FtlConfig};
 use stash::stego::{HiddenVolume, StegoConfig};
 
