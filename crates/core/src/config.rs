@@ -1,9 +1,9 @@
 //! VT-HI configuration (the paper's tuning knobs from §6).
 
 use crate::error::HideError;
+use crate::payload::PayloadCodec;
 use stash_ecc::bch::Bch;
-use stash_ecc::rs::ReedSolomon;
-use stash_ecc::{bits_to_bytes, bytes_to_bits, BlockCode, DecodeError};
+use stash_ecc::DecodeError;
 use stash_flash::{Geometry, Level};
 
 /// Error-correction choice for the hidden payload.
@@ -21,44 +21,27 @@ pub enum EccChoice {
         /// segments of this size; 0 means one codeword spanning the page).
         segment_bits: usize,
     },
-    /// Reed–Solomon over GF(2^8) spanning the page's hidden budget
-    /// (byte symbols; one symbol absorbs up to 8 adjacent bit errors from
-    /// bursty interference). Corrects `parity_symbols / 2` symbol errors.
-    Rs {
-        /// Parity symbols per page (must be even).
-        parity_symbols: usize,
-    },
 }
 
-/// The concrete per-page code built from an [`EccChoice`].
+/// The per-page code built from [`EccChoice::Bch`]: whole segments of one
+/// shortened BCH code, laid end to end.
 #[derive(Debug)]
-pub enum PageCode {
-    /// Segmented binary BCH.
-    Bch {
-        /// The per-segment code.
-        code: Bch,
-        /// Whole segments per page.
-        segments: usize,
-    },
-    /// One Reed–Solomon codeword over the page's hidden bytes.
-    Rs(ReedSolomon),
+pub struct PageCode {
+    /// The per-segment code.
+    code: Bch,
+    /// Whole segments per page.
+    segments: usize,
 }
 
 impl PageCode {
     /// Usable data bits per page.
     pub fn data_bits(&self) -> usize {
-        match self {
-            PageCode::Bch { code, segments } => code.data_len() * segments,
-            PageCode::Rs(rs) => rs.data_symbols() * 8,
-        }
+        self.code.data_len() * self.segments
     }
 
     /// Code bits actually placed in cells per page.
     pub fn code_bits(&self) -> usize {
-        match self {
-            PageCode::Bch { code, segments } => code.code_len() * segments,
-            PageCode::Rs(rs) => rs.code_symbols() * 8,
-        }
+        self.code.code_len() * self.segments
     }
 
     /// Encodes exactly [`data_bits`](Self::data_bits) bits.
@@ -68,19 +51,11 @@ impl PageCode {
     /// Panics on a length mismatch.
     pub fn encode(&self, data: &[bool]) -> Vec<bool> {
         assert_eq!(data.len(), self.data_bits(), "data length mismatch");
-        match self {
-            PageCode::Bch { code, .. } => {
-                let mut out = Vec::with_capacity(self.code_bits());
-                for seg in data.chunks(code.data_len()) {
-                    out.extend(code.encode(seg));
-                }
-                out
-            }
-            PageCode::Rs(rs) => {
-                let bytes = bits_to_bytes(data);
-                bytes_to_bits(&rs.encode(&bytes), self.code_bits())
-            }
+        let mut out = Vec::with_capacity(self.code_bits());
+        for seg in data.chunks(self.code.data_len()) {
+            out.extend(self.code.encode(seg));
         }
+        out
     }
 
     /// Decodes [`code_bits`](Self::code_bits) cell bits back to data bits.
@@ -94,20 +69,11 @@ impl PageCode {
     /// Panics on a length mismatch.
     pub fn decode(&self, bits: &[bool]) -> Result<Vec<bool>, DecodeError> {
         assert_eq!(bits.len(), self.code_bits(), "codeword length mismatch");
-        match self {
-            PageCode::Bch { code, .. } => {
-                let mut out = Vec::with_capacity(self.data_bits());
-                for seg in bits.chunks(code.code_len()) {
-                    out.extend(code.decode(seg)?);
-                }
-                Ok(out)
-            }
-            PageCode::Rs(rs) => {
-                let bytes = bits_to_bytes(bits);
-                let data = rs.decode(&bytes)?;
-                Ok(bytes_to_bits(&data, data.len() * 8))
-            }
+        let mut out = Vec::with_capacity(self.data_bits());
+        for seg in bits.chunks(self.code.code_len()) {
+            out.extend(self.code.decode(seg)?);
         }
+        Ok(out)
     }
 }
 
@@ -184,6 +150,12 @@ impl VthiConfig {
     ///
     /// Returns [`HideError::InvalidConfig`] describing the first problem.
     pub fn validate(&self) -> crate::Result<()> {
+        self.validated_codec().map(drop)
+    }
+
+    /// [`validate`](Self::validate), keeping the payload codec the check
+    /// builds: a [`Hider`](crate::Hider) derives its code here once.
+    pub(crate) fn validated_codec(&self) -> crate::Result<PayloadCodec> {
         if self.hidden_bits_per_page == 0 {
             return Err(HideError::InvalidConfig("hidden_bits_per_page is zero".into()));
         }
@@ -196,21 +168,13 @@ impl VthiConfig {
                 self.vth
             )));
         }
-        if let Some(code) = self.segment_code_checked()? {
-            if code.data_bits() == 0 {
-                return Err(HideError::InvalidConfig(
-                    "ECC parity consumes the whole hidden budget".into(),
-                ));
-            }
-        }
-        Ok(())
+        PayloadCodec::new(self)
     }
 
     /// Code bits per ECC segment.
     pub fn segment_bits(&self) -> usize {
         match self.ecc {
-            EccChoice::None | EccChoice::Rs { .. } => self.hidden_bits_per_page,
-            EccChoice::Bch { segment_bits: 0, .. } => self.hidden_bits_per_page,
+            EccChoice::None | EccChoice::Bch { segment_bits: 0, .. } => self.hidden_bits_per_page,
             EccChoice::Bch { segment_bits, .. } => segment_bits.min(self.hidden_bits_per_page),
         }
     }
@@ -222,98 +186,61 @@ impl VthiConfig {
     }
 
     /// Upper bound on correctable bit errors per page under this
-    /// configuration: `t` errors per BCH segment times whole segments,
-    /// `parity_symbols / 2` symbol corrections for RS (conservatively
-    /// counted as one bit each — a symbol error may span more bits), and 0
-    /// in raw mode. The health monitor compares observed per-slot
+    /// configuration: `t` errors per BCH segment times whole segments, and
+    /// 0 in raw mode. The health monitor compares observed per-slot
     /// corrections against this ceiling to compute the live BER margin.
     pub fn correctable_bits_per_page(&self) -> usize {
         match self.ecc {
             EccChoice::None => 0,
             EccChoice::Bch { t, .. } => t * self.segments_per_page(),
-            EccChoice::Rs { parity_symbols } => parity_symbols / 2,
         }
     }
 
     /// Builds the per-page code, or `None` for raw mode.
     ///
-    /// # Panics
-    ///
-    /// Panics on configurations that [`validate`](Self::validate) rejects;
-    /// validated flows never reach the panic.
-    pub fn segment_code(&self) -> Option<PageCode> {
-        self.segment_code_checked().expect("invalid ECC configuration")
-    }
-
-    /// Fallible variant of [`segment_code`](Self::segment_code), used by
-    /// [`validate`](Self::validate).
-    ///
     /// # Errors
     ///
     /// Returns [`HideError::InvalidConfig`] when the parity cannot fit the
-    /// hidden budget or a supported field cannot host the segment.
-    pub fn segment_code_checked(&self) -> crate::Result<Option<PageCode>> {
-        match self.ecc {
-            EccChoice::None => Ok(None),
-            EccChoice::Bch { t, .. } => {
-                let n = self.segment_bits();
-                let m = (5..=13u32).find(|&m| (1usize << m) > n).ok_or_else(|| {
-                    HideError::InvalidConfig(format!("segment of {n} bits exceeds GF(2^13)"))
-                })?;
-                let full = Bch::new(m, t);
-                let parity = full.parity_len();
-                if parity >= n {
-                    return Err(HideError::InvalidConfig(format!(
-                        "BCH t={t} needs {parity} parity bits, segment holds {n}"
-                    )));
-                }
-                let code = Bch::shortened(m, t, n - parity);
-                Ok(Some(PageCode::Bch { code, segments: self.segments_per_page() }))
-            }
-            EccChoice::Rs { parity_symbols } => {
-                let total_symbols = self.hidden_bits_per_page / 8;
-                if parity_symbols == 0 || parity_symbols % 2 != 0 {
-                    return Err(HideError::InvalidConfig(
-                        "RS parity_symbols must be positive and even".into(),
-                    ));
-                }
-                if total_symbols > 255 {
-                    return Err(HideError::InvalidConfig(format!(
-                        "RS page budget of {total_symbols} symbols exceeds GF(2^8)"
-                    )));
-                }
-                if parity_symbols + 1 > total_symbols {
-                    return Err(HideError::InvalidConfig(format!(
-                        "RS needs {parity_symbols} parity symbols, page holds {total_symbols}"
-                    )));
-                }
-                Ok(Some(PageCode::Rs(ReedSolomon::new(
-                    total_symbols,
-                    total_symbols - parity_symbols,
-                ))))
-            }
-        }
+    /// segment or a supported field cannot host it.
+    pub fn segment_code(&self) -> crate::Result<Option<PageCode>> {
+        let EccChoice::Bch { t, .. } = self.ecc else {
+            return Ok(None);
+        };
+        let n = self.segment_bits();
+        let m = (5..=13u32).find(|&m| (1usize << m) > n).ok_or_else(|| {
+            HideError::InvalidConfig(format!("segment of {n} bits exceeds GF(2^13)"))
+        })?;
+        let code = Bch::new(m, t, n).ok_or_else(|| {
+            HideError::InvalidConfig(format!(
+                "BCH t={t} over GF(2^{m}) leaves no data bits in a {n}-bit segment"
+            ))
+        })?;
+        Ok(Some(PageCode { code, segments: self.segments_per_page() }))
+    }
+
+    /// This configuration's payload codec.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an ECC choice [`segment_code`](Self::segment_code)
+    /// rejects; validated flows never reach the panic.
+    fn codec(&self) -> PayloadCodec {
+        PayloadCodec::new(self).expect("invalid ECC configuration")
     }
 
     /// Usable data bits per hidden page after ECC.
     pub fn data_bits_per_page(&self) -> usize {
-        match self.segment_code() {
-            None => self.hidden_bits_per_page,
-            Some(code) => code.data_bits(),
-        }
+        self.codec().data_bits()
     }
 
     /// Hidden cells actually used per page (whole segments only).
     pub fn used_bits_per_page(&self) -> usize {
-        match self.segment_code() {
-            None => self.hidden_bits_per_page,
-            Some(code) => code.code_bits(),
-        }
+        self.codec().used_bits()
     }
 
     /// Whole bytes of payload stored per hidden page.
     pub fn payload_bytes_per_page(&self) -> usize {
-        self.data_bits_per_page() / 8
+        self.codec().payload_bytes()
     }
 
     /// Stride between consecutive hidden pages.
@@ -353,9 +280,6 @@ mod tests {
         let mut raw = VthiConfig::paper_default();
         raw.ecc = EccChoice::None;
         assert_eq!(raw.correctable_bits_per_page(), 0);
-        let mut rs = VthiConfig::enhanced();
-        rs.ecc = EccChoice::Rs { parity_symbols: 32 };
-        assert_eq!(rs.correctable_bits_per_page(), 16);
     }
 
     #[test]
@@ -397,7 +321,7 @@ mod tests {
         let mut c = VthiConfig::paper_default();
         c.ecc = EccChoice::None;
         assert_eq!(c.data_bits_per_page(), 256);
-        assert!(c.segment_code().is_none());
+        assert!(c.segment_code().unwrap().is_none());
     }
 
     #[test]

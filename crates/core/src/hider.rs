@@ -2,7 +2,7 @@
 
 use crate::config::VthiConfig;
 use crate::error::HideError;
-use crate::payload::{decode_payload, encode_payload};
+use crate::payload::PayloadCodec;
 use crate::recovery::{offset_level, RetryPolicy};
 use crate::select::{page_stream_id, select_hidden_cells, SelectionMode};
 use stash_crypto::HidingKey;
@@ -40,6 +40,9 @@ pub struct Hider<'c, D: NandDevice = Chip> {
     chip: &'c mut D,
     key: HidingKey,
     cfg: VthiConfig,
+    /// `cfg`'s payload codec, built once in [`new`](Self::new); an invalid
+    /// `cfg` is held as its error and returned by every hide and reveal.
+    codec: crate::Result<PayloadCodec>,
     mode: SelectionMode,
     retry: RetryPolicy,
     tracer: Option<Arc<Tracer>>,
@@ -51,12 +54,14 @@ pub struct Hider<'c, D: NandDevice = Chip> {
 }
 
 impl<'c, D: NandDevice> Hider<'c, D> {
-    /// Creates a hider. Panics only through [`VthiConfig::validate`]
-    /// misuse; call `validate` first when the config is user-supplied.
+    /// Creates a hider, validating `cfg` and building its payload code
+    /// once. An invalid `cfg` does not panic: every hide and reveal returns
+    /// its [`HideError::InvalidConfig`] instead.
     pub fn new(chip: &'c mut D, key: HidingKey, cfg: VthiConfig) -> Self {
         Hider {
             chip,
             key,
+            codec: cfg.validated_codec(),
             cfg,
             mode: SelectionMode::OnesIndexed,
             retry: RetryPolicy::none(),
@@ -123,6 +128,11 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         &self.cfg
     }
 
+    /// The payload codec, or the error that rejected the configuration.
+    fn codec(&self) -> crate::Result<&PayloadCodec> {
+        self.codec.as_ref().map_err(Clone::clone)
+    }
+
     /// Shared access to the underlying device.
     pub fn chip(&self) -> &D {
         self.chip
@@ -149,8 +159,7 @@ impl<'c, D: NandDevice> Hider<'c, D> {
     ) -> crate::Result<PageEncodeReport> {
         // Validate before the public program so a bad payload leaves the
         // page untouched.
-        self.cfg.validate()?;
-        let expected = self.cfg.payload_bytes_per_page();
+        let expected = self.codec()?.payload_bytes();
         if payload.len() != expected {
             return Err(HideError::PayloadLength { expected, got: payload.len() });
         }
@@ -172,26 +181,14 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         payload: &[u8],
         track_steps: bool,
     ) -> crate::Result<PageEncodeReport> {
-        self.cfg.validate()?;
+        let codec = self.codec()?;
         let _encode = span!(self.tracer, "encode_page", "page={page}");
         let geometry = *self.chip.geometry();
         let cpp = geometry.cells_per_page();
         let stream = page_stream_id(&geometry, page);
 
-        let cells = select_hidden_cells(
-            &self.key,
-            &geometry,
-            page,
-            public,
-            self.cfg.used_bits_per_page(),
-            self.mode,
-        )
-        .ok_or(HideError::InsufficientOnes {
-            needed: self.cfg.used_bits_per_page(),
-            available: public.count_ones(),
-        })?;
-
-        let stored_bits = encode_payload(&self.key, &self.cfg, stream, payload)?;
+        let cells = self.select_cells(page, public, codec.used_bits())?;
+        let stored_bits = codec.encode(&self.key, stream, payload)?;
         debug_assert_eq!(stored_bits.len(), cells.len());
 
         // Cells destined to hold hidden '0' must be pushed above Vth.
@@ -308,7 +305,7 @@ impl<'c, D: NandDevice> Hider<'c, D> {
             let geometry = *self.chip.geometry();
             let stream = page_stream_id(&geometry, page);
             let bits = self.read_hidden_bits(page, public)?;
-            return decode_payload(&self.key, &self.cfg, stream, &bits);
+            return self.codec()?.decode(&self.key, stream, &bits);
         }
         self.reveal_page_recovered(page, public).map(|(payload, _)| payload)
     }
@@ -340,7 +337,7 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         let mut first_err: Option<HideError> = None;
         let mut consider = |this: &mut Self, vref: Level| -> crate::Result<bool> {
             let bits = this.read_hidden_bits_at(page, public, vref)?;
-            match decode_payload(&this.key, &this.cfg, stream, &bits) {
+            match this.codec()?.decode(&this.key, stream, &bits) {
                 Ok(payload) => {
                     let corrected = this.corrected_bits(stream, &payload, &bits)?;
                     let done = match this.retry.ecc_watermark {
@@ -394,7 +391,7 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         payload: &[u8],
         read_bits: &[bool],
     ) -> crate::Result<usize> {
-        let expected = encode_payload(&self.key, &self.cfg, stream, payload)?;
+        let expected = self.codec()?.encode(&self.key, stream, payload)?;
         Ok(expected.iter().zip(read_bits).filter(|(a, b)| a != b).count())
     }
 
@@ -422,44 +419,35 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         public: Option<&BitPattern>,
         vref: Level,
     ) -> crate::Result<Vec<bool>> {
-        match public {
+        let needed = self.codec()?.used_bits();
+        let (cells, shifted) = match public {
             Some(public) => {
                 // The single decode read (paper: "Decoding hidden data ...
                 // requires only a single read operation following a voltage
                 // reference shift command").
                 let shifted = self.chip.read_page_shifted(page, vref)?;
-                self.hidden_bits_from(page, public, &shifted)
+                (self.select_cells(page, public, needed)?, shifted)
             }
             None => {
                 let public = self.chip.read_page(page)?;
                 let shifted = self.chip.read_page_shifted(page, vref)?;
-                self.hidden_bits_from(page, &public, &shifted)
+                (self.select_cells(page, &public, needed)?, shifted)
             }
-        }
+        };
+        Ok(cells.iter().map(|&c| shifted.get(c)).collect())
     }
 
-    /// Maps a page's public pattern and shifted read to its hidden cell
-    /// bits, re-deriving the cell selection from the public data.
-    fn hidden_bits_from(
+    /// The `needed` hidden cells of a page, re-derived from its public
+    /// pattern by the keyed selection.
+    fn select_cells(
         &self,
         page: PageId,
         public: &BitPattern,
-        shifted: &BitPattern,
-    ) -> crate::Result<Vec<bool>> {
+        needed: usize,
+    ) -> crate::Result<Vec<usize>> {
         let geometry = *self.chip.geometry();
-        let cells = select_hidden_cells(
-            &self.key,
-            &geometry,
-            page,
-            public,
-            self.cfg.used_bits_per_page(),
-            self.mode,
-        )
-        .ok_or(HideError::InsufficientOnes {
-            needed: self.cfg.used_bits_per_page(),
-            available: public.count_ones(),
-        })?;
-        Ok(cells.iter().map(|&c| shifted.get(c)).collect())
+        select_hidden_cells(&self.key, &geometry, page, public, needed, self.mode)
+            .ok_or_else(|| HideError::InsufficientOnes { needed, available: public.count_ones() })
     }
 
     /// Measures the raw hidden BER of a page against what an encode stored.
@@ -503,7 +491,7 @@ impl<'c, D: NandDevice> Hider<'c, D> {
         let geometry = *self.chip.geometry();
         let stream = page_stream_id(&geometry, page);
         let bits = self.read_hidden_bits(page, public)?;
-        let payload = crate::payload::decode_payload(&self.key, &self.cfg, stream, &bits)?;
+        let payload = self.codec()?.decode(&self.key, stream, &bits)?;
 
         let public = match public {
             Some(p) => p.clone(),
@@ -783,22 +771,6 @@ mod tests {
             refreshed.errors < control.errors,
             "refresh must reduce decay errors: refreshed {refreshed} vs control {control}"
         );
-    }
-
-    #[test]
-    fn reed_solomon_payload_roundtrips_on_chip() {
-        let mut c = chip();
-        let mut cfg = cfg(&c);
-        cfg.hidden_bits_per_page = 64; // 8 RS symbols
-        cfg.ecc = crate::config::EccChoice::Rs { parity_symbols: 2 };
-        cfg.validate().unwrap();
-        let payload: Vec<u8> = (0..cfg.payload_bytes_per_page() as u8).collect();
-        let public = random_public(&c, 12);
-        let page = PageId::new(BlockId(4), 0);
-        let mut h = Hider::new(&mut c, key(), cfg);
-        h.chip_mut().erase_block(BlockId(4)).unwrap();
-        h.hide_on_fresh_page(page, &public, &payload).unwrap();
-        assert_eq!(h.reveal_page(page, Some(&public)).unwrap(), payload);
     }
 
     #[test]

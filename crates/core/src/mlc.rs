@@ -20,7 +20,7 @@
 
 use crate::config::{EccChoice, VthiConfig};
 use crate::error::HideError;
-use crate::payload::{decode_payload, encode_payload};
+use crate::payload::PayloadCodec;
 use crate::select::page_stream_id;
 use stash_crypto::{HidingKey, SelectionPrng};
 use stash_flash::{BitPattern, Chip, Level, NandDevice, PageId};
@@ -129,7 +129,8 @@ impl<'c> MlcHider<'c> {
         payload: &[u8],
     ) -> crate::Result<()> {
         let vcfg = self.cfg.as_vthi(self.chip);
-        let expected = vcfg.payload_bytes_per_page();
+        let codec = PayloadCodec::new(&vcfg)?;
+        let expected = codec.payload_bytes();
         if payload.len() != expected {
             return Err(HideError::PayloadLength { expected, got: payload.len() });
         }
@@ -138,7 +139,7 @@ impl<'c> MlcHider<'c> {
 
         let geometry = *self.chip.geometry();
         let stream = page_stream_id(&geometry, page) ^ 0x4D4C_4331;
-        let bits = encode_payload(&self.key, &vcfg, stream, payload)?;
+        let bits = codec.encode(&self.key, stream, payload)?;
 
         let cpp = geometry.cells_per_page();
         let mut mask = BitPattern::zeros(cpp);
@@ -176,7 +177,7 @@ impl<'c> MlcHider<'c> {
         let bits: Vec<bool> = cells.iter().map(|&c| shifted.get(c)).collect();
         let geometry = *self.chip.geometry();
         let stream = page_stream_id(&geometry, page) ^ 0x4D4C_4331;
-        decode_payload(&self.key, &vcfg, stream, &bits)
+        PayloadCodec::new(&vcfg)?.decode(&self.key, stream, &bits)
     }
 }
 

@@ -6,7 +6,7 @@
 //! populations), while the parity structure still protects the bits that
 //! actually land in cells.
 
-use crate::config::VthiConfig;
+use crate::config::{PageCode, VthiConfig};
 use crate::error::HideError;
 use stash_crypto::{chacha20_xor, HidingKey};
 use stash_ecc::{bits_to_bytes, bytes_to_bits};
@@ -19,60 +19,103 @@ const PAYLOAD_LABEL: &str = "vt-hi/payload/v1";
 ///
 /// # Errors
 ///
-/// Returns [`HideError::PayloadLength`] on a size mismatch.
+/// Returns [`HideError::PayloadLength`] on a size mismatch, and
+/// [`HideError::InvalidConfig`] when `cfg`'s code cannot be built.
 pub fn encode_payload(
     key: &HidingKey,
     cfg: &VthiConfig,
     page_stream: u64,
     payload: &[u8],
 ) -> crate::Result<Vec<bool>> {
-    let expected = cfg.payload_bytes_per_page();
-    if payload.len() != expected {
-        return Err(HideError::PayloadLength { expected, got: payload.len() });
-    }
-
-    let mut encrypted = payload.to_vec();
-    chacha20_xor(&key.subkey(PAYLOAD_LABEL), page_stream, &mut encrypted);
-    let data_bits = bytes_to_bits(&encrypted, cfg.data_bits_per_page().min(payload.len() * 8));
-
-    match cfg.segment_code() {
-        None => {
-            // Raw mode: pad the tail with keyed filler so unused cells are
-            // still uniform.
-            let mut bits = data_bits;
-            pad_with_keystream(key, page_stream, &mut bits, cfg.hidden_bits_per_page);
-            Ok(bits)
-        }
-        Some(code) => {
-            let mut all_data = data_bits;
-            // Pad to the code's data width with keyed filler bits.
-            pad_with_keystream(key, page_stream, &mut all_data, code.data_bits());
-            Ok(code.encode(&all_data))
-        }
-    }
+    PayloadCodec::new(cfg)?.encode(key, page_stream, payload)
 }
 
 /// Decodes hidden cell bits back into payload bytes.
 ///
 /// # Errors
 ///
-/// Returns [`HideError::Unrecoverable`] when ECC decoding fails.
+/// Returns [`HideError::Unrecoverable`] when ECC decoding fails, and
+/// [`HideError::InvalidConfig`] when `cfg`'s code cannot be built.
 pub fn decode_payload(
     key: &HidingKey,
     cfg: &VthiConfig,
     page_stream: u64,
     cell_bits: &[bool],
 ) -> crate::Result<Vec<u8>> {
-    let data_bits: Vec<bool> = match cfg.segment_code() {
-        None => cell_bits.to_vec(),
-        Some(code) => code.decode(&cell_bits[..code.code_bits()])?,
-    };
+    PayloadCodec::new(cfg)?.decode(key, page_stream, cell_bits)
+}
 
-    let byte_count = cfg.payload_bytes_per_page();
-    let mut bytes = bits_to_bytes(&data_bits[..byte_count * 8]);
-    bytes.truncate(byte_count);
-    chacha20_xor(&key.subkey(PAYLOAD_LABEL), page_stream, &mut bytes);
-    Ok(bytes)
+/// One configuration's payload pipeline, its code built once: the free
+/// functions above build one per call, a [`Hider`](crate::Hider) one for
+/// its lifetime.
+#[derive(Debug)]
+pub(crate) struct PayloadCodec {
+    /// The page code; `None` in raw mode.
+    code: Option<PageCode>,
+    /// Hidden cells per page, all of them carrying data in raw mode.
+    hidden_bits: usize,
+}
+
+impl PayloadCodec {
+    /// Builds `cfg`'s page code.
+    pub(crate) fn new(cfg: &VthiConfig) -> crate::Result<Self> {
+        Ok(PayloadCodec { code: cfg.segment_code()?, hidden_bits: cfg.hidden_bits_per_page })
+    }
+
+    /// Usable data bits per page.
+    pub(crate) fn data_bits(&self) -> usize {
+        self.code.as_ref().map_or(self.hidden_bits, PageCode::data_bits)
+    }
+
+    /// Hidden cells carrying code bits per page.
+    pub(crate) fn used_bits(&self) -> usize {
+        self.code.as_ref().map_or(self.hidden_bits, PageCode::code_bits)
+    }
+
+    /// Whole payload bytes per page.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.data_bits() / 8
+    }
+
+    /// [`encode_payload`] with this codec's code.
+    pub(crate) fn encode(
+        &self,
+        key: &HidingKey,
+        page_stream: u64,
+        payload: &[u8],
+    ) -> crate::Result<Vec<bool>> {
+        let expected = self.payload_bytes();
+        if payload.len() != expected {
+            return Err(HideError::PayloadLength { expected, got: payload.len() });
+        }
+
+        let mut encrypted = payload.to_vec();
+        chacha20_xor(&key.subkey(PAYLOAD_LABEL), page_stream, &mut encrypted);
+        let mut bits = bytes_to_bits(&encrypted, payload.len() * 8);
+        // Pad to the code's data width (raw mode: the whole page) with keyed
+        // filler, so unused cells are still uniform.
+        pad_with_keystream(key, page_stream, &mut bits, self.data_bits());
+        Ok(match &self.code {
+            None => bits,
+            Some(code) => code.encode(&bits),
+        })
+    }
+
+    /// [`decode_payload`] with this codec's code.
+    pub(crate) fn decode(
+        &self,
+        key: &HidingKey,
+        page_stream: u64,
+        cell_bits: &[bool],
+    ) -> crate::Result<Vec<u8>> {
+        let data_bits = match &self.code {
+            None => cell_bits.to_vec(),
+            Some(code) => code.decode(&cell_bits[..code.code_bits()])?,
+        };
+        let mut bytes = bits_to_bytes(&data_bits[..self.payload_bytes() * 8]);
+        chacha20_xor(&key.subkey(PAYLOAD_LABEL), page_stream, &mut bytes);
+        Ok(bytes)
+    }
 }
 
 /// Extends `bits` to `target` length with keystream-derived filler.
@@ -183,39 +226,6 @@ mod tests {
             i += 50;
         }
         assert_eq!(decode_payload(&key(), &cfg, 11, &bits).unwrap(), payload);
-    }
-
-    #[test]
-    fn rs_mode_roundtrip_with_burst() {
-        let mut cfg = VthiConfig::paper_default();
-        // 256 hidden bits = 32 RS symbols; 8 parity -> corrects 4 symbols.
-        cfg.ecc = EccChoice::Rs { parity_symbols: 8 };
-        cfg.validate().unwrap();
-        assert_eq!(cfg.payload_bytes_per_page(), 24);
-        let payload: Vec<u8> = (0..24u8).collect();
-        let mut bits = encode_payload(&key(), &cfg, 21, &payload).unwrap();
-        // A 16-bit burst (bursty neighbor interference) hits 2-3 symbols.
-        for b in bits.iter_mut().skip(40).take(16) {
-            *b = !*b;
-        }
-        assert_eq!(decode_payload(&key(), &cfg, 21, &bits).unwrap(), payload);
-    }
-
-    #[test]
-    fn rs_mode_detects_overload() {
-        let mut cfg = VthiConfig::paper_default();
-        cfg.ecc = EccChoice::Rs { parity_symbols: 4 }; // corrects 2 symbols
-        let payload = vec![7u8; cfg.payload_bytes_per_page()];
-        let mut bits = encode_payload(&key(), &cfg, 22, &payload).unwrap();
-        // Corrupt 5 separate symbols.
-        for s in [0usize, 5, 10, 15, 20] {
-            bits[s * 8] = !bits[s * 8];
-        }
-        match decode_payload(&key(), &cfg, 22, &bits) {
-            Err(HideError::Unrecoverable { .. }) => {}
-            Ok(got) => assert_ne!(got, payload),
-            Err(other) => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

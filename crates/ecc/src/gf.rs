@@ -21,7 +21,6 @@ const PRIMITIVE_POLYS: [u32; 14] = [
 /// The field GF(2^m) with its exponent/log tables.
 #[derive(Debug, Clone)]
 pub struct GaloisField {
-    m: u32,
     /// Field size minus one: the multiplicative group order, 2^m - 1.
     n: usize,
     exp: Vec<u16>,
@@ -53,12 +52,7 @@ impl GaloisField {
         for i in 0..n {
             exp[n + i] = exp[i];
         }
-        GaloisField { m, n, exp, log }
-    }
-
-    /// Field degree m.
-    pub fn degree(&self) -> u32 {
-        self.m
+        GaloisField { n, exp, log }
     }
 
     /// Multiplicative group order (2^m − 1), which is also the natural BCH

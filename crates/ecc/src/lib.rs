@@ -4,24 +4,20 @@
 //! threshold inside the natural noise of a flash chip, so their raw BER
 //! (0.5%–2%, paper §6.3/§8) is orders of magnitude above public-data BER.
 //! The paper over-provisions hidden cells with ECC (Algorithm 1, line 4).
-//! This crate implements the machinery:
+//! This crate implements the one code every configuration uses:
 //!
 //! * [`gf`] — GF(2^m) arithmetic (log/antilog tables);
 //! * [`bch`] — binary BCH codes with syndrome decoding (Berlekamp–Massey +
-//!   Chien search), the workhorse for hidden payloads;
-//! * [`rs`] — Reed–Solomon over GF(2^8), the classic flash-controller code
-//!   (byte symbols absorb bursty interference errors).
-//!
-//! All codes speak one vocabulary, the [`BlockCode`] trait over bit slices.
+//!   Chien search), shortened to the hidden-cell budget, over bit slices.
 //!
 //! ```
-//! use stash_ecc::{BlockCode, bch::Bch};
+//! use stash_ecc::bch::Bch;
 //!
 //! # fn main() -> Result<(), stash_ecc::DecodeError> {
-//! // A BCH code over GF(2^9) correcting 4 errors, shortened to carry
-//! // 220 data bits in 256 code bits (the paper's per-page hidden budget).
-//! let code = Bch::shortened(9, 4, 220);
-//! assert_eq!(code.code_len(), 256);
+//! // A BCH code over GF(2^9) correcting 4 errors, shortened to 256 code
+//! // bits (the paper's per-page hidden budget): 36 parity, 220 data bits.
+//! let code = Bch::new(9, 4, 256).expect("t = 4 fits 256 bits over GF(2^9)");
+//! assert_eq!(code.data_len(), 220);
 //!
 //! let data: Vec<bool> = (0..220).map(|i| i % 3 == 0).collect();
 //! let mut stored = code.encode(&data);
@@ -36,40 +32,8 @@
 
 pub mod bch;
 pub mod gf;
-pub mod rs;
 
 use std::fmt;
-
-/// A systematic binary block code mapping `data_len()` bits to `code_len()`
-/// bits and correcting some number of bit errors.
-pub trait BlockCode {
-    /// Number of data bits per codeword.
-    fn data_len(&self) -> usize;
-
-    /// Number of code bits per codeword.
-    fn code_len(&self) -> usize;
-
-    /// Encodes exactly `data_len()` bits into a `code_len()`-bit codeword.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != data_len()`.
-    fn encode(&self, data: &[bool]) -> Vec<bool>;
-
-    /// Decodes a (possibly corrupted) codeword back to data bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] when more errors occurred than the code can
-    /// correct *and* the failure is detectable. An undetectable overload may
-    /// silently return wrong data — exactly like hardware ECC.
-    fn decode(&self, code: &[bool]) -> Result<Vec<bool>, DecodeError>;
-
-    /// Code rate (data bits per code bit).
-    fn rate(&self) -> f64 {
-        self.data_len() as f64 / self.code_len() as f64
-    }
-}
 
 /// Decoding failed: the corruption exceeded the code's correction power in a
 /// detectable way.

@@ -352,7 +352,6 @@ impl<D: NandDevice> HiddenVolume<D> {
         // OR read-as-empty) inside a group with present members is a loss.
         if vol.cfg.parity_group > 0 {
             let groups = vol.data_slots.div_ceil(vol.cfg.parity_group);
-            let mut losses: Vec<usize> = failed.clone();
             for group in 0..groups {
                 let mut members = vol.group_members(group);
                 members.push(vol.parity_slot_of_group(group));
@@ -361,41 +360,24 @@ impl<D: NandDevice> HiddenVolume<D> {
                     continue;
                 }
                 for &m in &members {
-                    if vol.cache[m].is_none() && !losses.contains(&m) {
-                        losses.push(m);
+                    if vol.cache[m].is_none() && !failed.contains(&m) {
+                        failed.push(m);
                         report.empty = report.empty.saturating_sub(1);
                     }
                 }
             }
-            for &slot in &losses {
-                let group = vol.group_of(slot);
-                let mut members = vol.group_members(group);
-                members.push(vol.parity_slot_of_group(group));
-                let missing: Vec<usize> =
-                    members.iter().copied().filter(|m| vol.cache[*m].is_none()).collect();
-                if missing == vec![slot] {
-                    let mut acc = vec![0u8; vol.cfg.slot_bytes()];
-                    for &m in &members {
-                        if m != slot {
-                            for (a, b) in
-                                acc.iter_mut().zip(vol.cache[m].as_ref().expect("present"))
-                            {
-                                *a ^= b;
-                            }
-                        }
-                    }
-                    vol.cache[slot] = Some(acc);
-                    // Re-embed the rebuilt slot so flash is healthy again.
-                    vol.dirty[slot] = true;
-                    report.reconstructed += 1;
-                } else {
-                    report.lost += 1;
-                }
-            }
-        } else {
-            report.lost = failed.len();
         }
-        let _ = &failed;
+        // Each loss is the only missing member of its group (rebuilt) or
+        // not (lost); without parity every loss is lost.
+        for slot in failed {
+            if vol.rebuild_from_parity(slot) {
+                // Re-embed the rebuilt slot so flash is healthy again.
+                vol.dirty[slot] = true;
+                report.reconstructed += 1;
+            } else {
+                report.lost += 1;
+            }
+        }
         // Recovered-but-empty parity slots of never-written groups read as
         // empty; counted under `empty` above.
         if !vol.cfg.piggyback {
@@ -419,13 +401,8 @@ impl<D: NandDevice> HiddenVolume<D> {
         }
     }
 
-    /// Maps a volume-visible data-slot index to the internal slot index
-    /// (data slots come first; parity slots are appended after them).
-    fn internal_slot(&self, data_slot: usize) -> usize {
-        data_slot
-    }
-
-    /// The internal parity-slot index of a group.
+    /// The internal parity-slot index of a group (a data slot's internal
+    /// index is its own; parity slots are appended after them).
     fn parity_slot_of_group(&self, group: usize) -> usize {
         self.data_slots + group
     }
@@ -554,7 +531,7 @@ impl<D: NandDevice> HiddenVolume<D> {
                 count: self.data_slot_count(),
             });
         }
-        Ok(self.ftl.physical_of(self.slot_lpn[self.internal_slot(data_slot)]))
+        Ok(self.ftl.physical_of(self.slot_lpn[data_slot]))
     }
 
     /// The public LPN owning each internal slot (data slots first, then
@@ -620,9 +597,8 @@ impl<D: NandDevice> HiddenVolume<D> {
                 got: payload.len(),
             });
         }
-        let slot = self.internal_slot(data_slot);
-        self.cache[slot] = Some(payload.to_vec());
-        self.dirty[slot] = true;
+        self.cache[data_slot] = Some(payload.to_vec());
+        self.dirty[data_slot] = true;
         // Maintain the group parity in cache. The whole group is
         // initialized as a unit (unwritten siblings become zero-filled), so
         // that at remount an *empty* slot inside a live group is provably a
@@ -655,8 +631,7 @@ impl<D: NandDevice> HiddenVolume<D> {
                 count: self.data_slot_count(),
             });
         }
-        let slot = self.internal_slot(data_slot);
-        Ok(self.cache[slot].clone())
+        Ok(self.cache[data_slot].clone())
     }
 
     /// Embeds every dirty slot, rewriting its public page as cover traffic.
@@ -1170,7 +1145,7 @@ mod tests {
         }
         // Unmounted: the normal user overwrites one slot's public page,
         // destroying its hidden payload (fresh physical page, no hiding).
-        let victim_lpn = vol.slot_lpn[vol.internal_slot(1)];
+        let victim_lpn = vol.slot_lpn[1];
         let mut ftl_back = vol.unmount();
         let cpp = ftl_back.chip().geometry().cells_per_page();
         let noise = BitPattern::random_half(&mut SmallRng::seed_from_u64(15), cpp);
@@ -1296,7 +1271,7 @@ mod tests {
         // written (≈half its hidden cells read charged) but no sweep offset
         // decodes it, and with the cache gone there is nothing to rebuild
         // from (parity is off).
-        let victim = vol.ftl.physical_of(vol.slot_lpn[vol.internal_slot(1)]).unwrap();
+        let victim = vol.ftl.physical_of(vol.slot_lpn[1]).unwrap();
         let mut ftl_back = vol.unmount();
         let cpp = ftl_back.chip().geometry().cells_per_page();
         let base = victim.page as usize * cpp;
@@ -1341,10 +1316,8 @@ mod tests {
         // Slots 0 and 1 die hard while the volume is unmounted (the stuck
         // alternating pattern of the scrub test above). Their group keeps
         // slot 2 and its parity slot: one member short of an XOR rebuild.
-        let victims: Vec<_> = [0, 1]
-            .iter()
-            .map(|&s| vol.ftl.physical_of(vol.slot_lpn[vol.internal_slot(s)]).unwrap())
-            .collect();
+        let victims: Vec<_> =
+            [0, 1].iter().map(|&s| vol.ftl.physical_of(vol.slot_lpn[s]).unwrap()).collect();
         let mut ftl_back = vol.unmount();
         let cpp = ftl_back.chip().geometry().cells_per_page();
         let mut plan = FaultPlan::new(1);
@@ -1383,7 +1356,7 @@ mod tests {
         // While unmounted, slot 1's public page is rewritten and a payload
         // carrying the WRONG slot identity is embedded on the fresh page —
         // the ECC will decode it cleanly, so only the tag can notice.
-        let victim_lpn = vol.slot_lpn[vol.internal_slot(1)];
+        let victim_lpn = vol.slot_lpn[1];
         let mut ftl_back = vol.unmount();
         let cpp = ftl_back.chip().geometry().cells_per_page();
         let noise = BitPattern::random_half(&mut SmallRng::seed_from_u64(23), cpp);

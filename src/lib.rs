@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`flash`] | `stash-flash` | Voltage-level NAND simulator (the paper's chips + tester) |
 //! | [`crypto`] | `stash-crypto` | SHA-256 / HMAC / ChaCha20 / keyed cell selection |
-//! | [`ecc`] | `stash-ecc` | GF(2^m), BCH, Reed–Solomon |
+//! | [`ecc`] | `stash-ecc` | GF(2^m), BCH |
 //! | [`vthi`] | `vthi` | **VT-HI — the paper's contribution** |
 //! | [`pthi`] | `pthi` | PT-HI baseline (Wang et al., S&P '13) |
 //! | [`svm`] | `stash-svm` | The SVM detectability adversary of §7 |

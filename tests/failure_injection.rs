@@ -118,9 +118,19 @@ fn zero_capacity_config_rejected_before_touching_flash() {
     chip.erase_block(BlockId(0)).unwrap();
     chip.program_page(PageId::new(BlockId(0), 0), &public).unwrap();
     let mut hider = Hider::new(&mut chip, key, cfg);
-    let err =
-        hider.hide_in_programmed_page(PageId::new(BlockId(0), 0), &public, &[], false).unwrap_err();
+    let page = PageId::new(BlockId(0), 0);
+    let err = hider.hide_in_programmed_page(page, &public, &[], false).unwrap_err();
     assert!(matches!(err, HideError::InvalidConfig(_)));
+    // Reveals on the same config are typed errors too, not panics, and
+    // read nothing.
+    hider.chip_mut().reset_meter();
+    let err = hider.reveal_page(page, Some(&public)).unwrap_err();
+    assert!(matches!(err, HideError::InvalidConfig(_)), "reveal_page: {err:?}");
+    let err = hider.reveal_page_recovered(page, None).unwrap_err();
+    assert!(matches!(err, HideError::InvalidConfig(_)), "reveal_page_recovered: {err:?}");
+    let err = hider.read_hidden_bits(page, None).unwrap_err();
+    assert!(matches!(err, HideError::InvalidConfig(_)), "read_hidden_bits: {err:?}");
+    assert_eq!(hider.chip().meter().total_ops(), 0);
 }
 
 #[test]
