@@ -180,9 +180,10 @@ impl VthiConfig {
     }
 
     /// Number of ECC segments per page (the last may be truncated away; only
-    /// whole segments are used).
+    /// whole segments are used), or 0 when the page hides no bits (a config
+    /// [`validate`](Self::validate) rejects).
     pub fn segments_per_page(&self) -> usize {
-        (self.hidden_bits_per_page / self.segment_bits()).max(1)
+        self.hidden_bits_per_page.checked_div(self.segment_bits()).map_or(0, |n| n.max(1))
     }
 
     /// Upper bound on correctable bit errors per page under this
@@ -280,6 +281,16 @@ mod tests {
         let mut raw = VthiConfig::paper_default();
         raw.ecc = EccChoice::None;
         assert_eq!(raw.correctable_bits_per_page(), 0);
+    }
+
+    #[test]
+    fn a_page_hiding_no_bits_corrects_none() {
+        // The health probe asks an unvalidated config for its ceiling.
+        let mut empty = VthiConfig::paper_default();
+        empty.hidden_bits_per_page = 0;
+        assert!(empty.validate().is_err());
+        assert_eq!(empty.segments_per_page(), 0);
+        assert_eq!(empty.correctable_bits_per_page(), 0);
     }
 
     #[test]

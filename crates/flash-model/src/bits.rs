@@ -11,6 +11,8 @@ use std::fmt;
 
 use rand::Rng;
 
+use crate::isa::{lanes, LANES};
+
 /// A fixed-length sequence of bits backed by bytes, MSB-first.
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct BitPattern {
@@ -176,13 +178,26 @@ impl BitPattern {
     /// Ascending indices of the `1` bits (in flash terms: erased cells, or
     /// the cells a mask selects), found a 64-bit word at a time.
     pub(crate) fn iter_ones(&self) -> SetBits<'_> {
-        SetBits::new(self, 0)
+        SetBits::new(self)
     }
 
-    /// Ascending indices of the `0` bits (in flash terms: the cells a
-    /// data pattern programs), found a 64-bit word at a time.
-    pub(crate) fn iter_zeros(&self) -> SetBits<'_> {
-        SetBits::new(self, u64::MAX)
+    /// Sets `masks[g]` to the lane mask ([`LANES`] bits, bit `j` for bit
+    /// `first + LANES·g + j`) of the `0` bits, in flash terms the cells a
+    /// data pattern programs, from `first` on; returns how many lanes are
+    /// set in all. Lanes past the pattern's end stay clear. `first` must be
+    /// a multiple of [`LANES`]; groups past the end leave their mask alone.
+    pub(crate) fn zero_lanes(&self, first: usize, masks: &mut [u16]) -> usize {
+        assert!(first.is_multiple_of(LANES) && first <= self.len, "group start {first}");
+        let groups = self.bytes[first / 8..].chunks(LANES / 8);
+        let mut n = 0;
+        for (g, (mask, pair)) in masks.iter_mut().zip(groups).enumerate() {
+            // MSB-first bytes: the big-endian word holds bit `first +
+            // LANES·g` at the top, so reversing it puts that bit at lane 0.
+            let ones = u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
+            *mask = !ones.reverse_bits() & lanes(self.len - first - LANES * g);
+            n += mask.count_ones() as usize;
+        }
+        n
     }
 
     /// Zeroes the padding bits beyond `len` in the final byte so that
@@ -231,14 +246,11 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// Iterator returned by [`BitPattern::iter_ones`] and
-/// [`BitPattern::iter_zeros`]: no allocation, one `trailing_zeros` per
-/// yielded index.
+/// Iterator returned by [`BitPattern::iter_ones`]: no allocation, one
+/// `trailing_zeros` per yielded index.
 #[derive(Debug, Clone)]
 pub(crate) struct SetBits<'a> {
     words: std::slice::Chunks<'a, u8>,
-    /// XORed into each word: all ones to walk the `0` bits.
-    flip: u64,
     len: usize,
     /// Index of the next word's first bit.
     next_base: usize,
@@ -249,15 +261,8 @@ pub(crate) struct SetBits<'a> {
 }
 
 impl<'a> SetBits<'a> {
-    fn new(pattern: &'a BitPattern, flip: u64) -> Self {
-        SetBits {
-            words: pattern.bytes.chunks(8),
-            flip,
-            len: pattern.len,
-            next_base: 0,
-            base: 0,
-            word: 0,
-        }
+    fn new(pattern: &'a BitPattern) -> Self {
+        SetBits { words: pattern.bytes.chunks(8), len: pattern.len, next_base: 0, base: 0, word: 0 }
     }
 }
 
@@ -273,7 +278,7 @@ impl Iterator for SetBits<'_> {
             // Big-endian puts pattern bit 0 at the top (MSB-first bytes);
             // keep only bits below `len`, then reverse so bit j is index j.
             let valid = (self.len - self.next_base).min(64);
-            let word = (u64::from_be_bytes(be) ^ self.flip) & (u64::MAX << (64 - valid));
+            let word = u64::from_be_bytes(be) & (u64::MAX << (64 - valid));
             self.word = word.reverse_bits();
             self.base = self.next_base;
             self.next_base += 64;
@@ -379,13 +384,33 @@ mod tests {
             let random = BitPattern::random_half(&mut rng, len);
             for p in [BitPattern::zeros(len), BitPattern::ones(len), random] {
                 let ones: Vec<usize> = (0..len).filter(|&i| p.get(i)).collect();
-                let zeros: Vec<usize> = (0..len).filter(|&i| !p.get(i)).collect();
                 assert_eq!(p.iter_ones().collect::<Vec<_>>(), ones, "len {len}");
-                assert_eq!(p.iter_zeros().collect::<Vec<_>>(), zeros, "len {len}");
             }
         }
         let sparse = BitPattern::from_bits(200, (0..200).map(|i| i == 0 || i == 64 || i == 199));
         assert_eq!(sparse.iter_ones().collect::<Vec<_>>(), [0, 64, 199]);
+    }
+
+    #[test]
+    fn zero_lanes_match_get() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        for len in [0, 1, 8, 15, 16, 17, 24, 2048, 2056, 144_384] {
+            let random = BitPattern::random_half(&mut rng, len);
+            for p in [BitPattern::zeros(len), BitPattern::ones(len), random] {
+                for first in (0..=len).step_by(2048) {
+                    let mut masks = vec![0xA5A5u16; (len - first).div_ceil(LANES) + 1];
+                    let n = p.zero_lanes(first, &mut masks);
+                    let zeros: Vec<usize> = (first..len).filter(|&i| !p.get(i)).collect();
+                    let set: Vec<usize> = (0..LANES * (masks.len() - 1))
+                        .filter(|&i| masks[i / LANES] >> (i % LANES) & 1 != 0)
+                        .map(|i| first + i)
+                        .collect();
+                    assert_eq!(set, zeros, "len {len} from {first}");
+                    assert_eq!(n, zeros.len());
+                    assert_eq!(masks.last(), Some(&0xA5A5), "a group past the end is left alone");
+                }
+            }
+        }
     }
 
     #[test]

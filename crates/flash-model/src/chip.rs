@@ -7,6 +7,7 @@ use crate::block::{BlockMeta, VoltState};
 use crate::device::NandDevice;
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PageId};
+use crate::isa::{self, Keep, LANES};
 use crate::latent;
 use crate::meter::{FaultKind, Meter, MeterSnapshot, OpKind};
 use crate::noise::{Gaussian, CHUNK};
@@ -96,6 +97,18 @@ impl std::fmt::Debug for Recycled {
 #[inline]
 fn scaled(mean: f64, sigma: f64, z: f64) -> f64 {
     mean + sigma * z
+}
+
+/// Offsets of the set lanes of `masks` (see [`LANES`]), ascending.
+fn set_lanes(masks: &[u16]) -> impl Iterator<Item = usize> + '_ {
+    masks.iter().enumerate().flat_map(|(g, &m)| {
+        let mut m = m;
+        std::iter::from_fn(move || {
+            let j = m.trailing_zeros() as usize;
+            m &= m.wrapping_sub(1);
+            (j < LANES).then_some(LANES * g + j)
+        })
+    })
 }
 
 /// Refills `scratch` with exactly `n` standard-normal draws via
@@ -374,21 +387,12 @@ impl NandDevice for Chip {
             // RNG-stream contract fixes), a chunk of cells at a time.
             let page = &mut state.voltages[base..base + cpp];
             let mut draws = self.gauss.bracketed(&mut self.rng);
-            let (mut cells, mut volts) = ([0u32; CHUNK], [0.0f32; CHUNK]);
-            let mut zeros = data.iter_zeros();
-            loop {
-                let mut n = 0;
-                for (slot, i) in cells.iter_mut().zip(&mut zeros) {
-                    *slot = i as u32;
-                    n += 1;
-                }
-                if n == 0 {
-                    break;
-                }
+            let (mut masks, mut volts) = ([0u16; CHUNK / LANES], [0.0f32; CHUNK]);
+            for (chunk_no, chunk) in page.chunks_mut(CHUNK).enumerate() {
+                let masks = &mut masks[..chunk.len().div_ceil(LANES)];
+                let n = data.zero_lanes(chunk_no * CHUNK, masks);
                 draws.map(&mut volts[..n], |_, z| scaled(mean, sigma, z) as f32);
-                for (&i, &v) in cells[..n].iter().zip(&volts[..n]) {
-                    page[i as usize] = v;
-                }
+                isa::expand(&volts[..n], masks, chunk);
             }
             state.page_programmed[p.page as usize] = true;
         }
@@ -676,7 +680,7 @@ impl NandDevice for Chip {
         let profile = self.profile.clone();
         let floor = (profile.erased.mean - 3.0 * profile.erased.sigma) as f32;
         let mut draws = self.gauss.bracketed(&mut self.rng);
-        let mut picked = [0u16; CHUNK];
+        let mut masks = [0u16; CHUNK / LANES];
         let (mut volts, mut losses) = ([0.0f32; CHUNK], [0.0f64; CHUNK]);
         let mut aged = [0.0f32; CHUNK];
         for meta in &mut self.blocks {
@@ -687,19 +691,16 @@ impl NandDevice for Chip {
             let dt_frac = profile.retention_time_factor(to) - profile.retention_time_factor(from);
             let noise_sigma = profile.retention.noise_sigma * dt_frac.max(0.0).sqrt();
             // Only cells above 0 draw noise, in cell order (the aged voltage
-            // is monotone in the draw): compact each chunk's charged cells
-            // branch-free, age them, and write them back.
+            // is monotone in the draw): compact each chunk's charged cells,
+            // age them, and scatter them back.
             for first in (0..state.voltages.len()).step_by(CHUNK) {
-                let chunk = &state.voltages[first..(first + CHUNK).min(state.voltages.len())];
-                let mut n = 0;
-                for (j, &v) in chunk.iter().enumerate() {
-                    picked[n] = j as u16;
-                    volts[n] = v;
-                    n += usize::from(v > 0.0);
-                }
-                for (k, (&j, &v)) in picked[..n].iter().zip(&volts[..n]).enumerate() {
-                    let mut loss = profile.retention_loss(f64::from(v), pec, from, to);
-                    if state.is_pp(first + usize::from(j)) {
+                let last = (first + CHUNK).min(state.voltages.len());
+                let masks = &mut masks[..(last - first).div_ceil(LANES)];
+                let chunk = &state.voltages[first..last];
+                let n = isa::compact_where(chunk, Keep::Above(0.0), masks, &mut volts);
+                for (k, j) in set_lanes(masks).enumerate() {
+                    let mut loss = profile.retention_loss(f64::from(volts[k]), pec, from, to);
+                    if state.is_pp(first + j) {
                         loss *= profile.retention.pp_penalty;
                     }
                     losses[k] = loss;
@@ -708,9 +709,7 @@ impl NandDevice for Chip {
                     let n = scaled(0.0, noise_sigma, z);
                     (f64::from(volts[k]) - losses[k] + n).max(f64::from(floor)) as f32
                 });
-                for (&j, &v) in picked[..n].iter().zip(&aged[..n]) {
-                    state.voltages[first + usize::from(j)] = v;
-                }
+                isa::expand(&aged[..n], masks, &mut state.voltages[first..last]);
             }
             state.aged_days = to;
         }
@@ -997,9 +996,9 @@ impl Chip {
         let seed = self.seed;
         let block = source.block.0;
         let mut draws = self.gauss.bracketed(&mut self.rng);
-        // Per chunk of a page: the candidates' offsets, voltages and
+        // Per chunk of a page: the candidates' lane masks, voltages and
         // couplings, and their bumped voltages.
-        let mut picked = [0u16; CHUNK];
+        let mut masks = [0u16; CHUNK / LANES];
         let (mut volts, mut coupling) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
         let mut bumped = [0.0f32; CHUNK];
         // The chunk's coupling, computed when the block has no cache.
@@ -1047,16 +1046,13 @@ impl Chip {
                 };
                 // Candidacy depends only on each cell's pre-bump voltage,
                 // and about half the cells are candidates, so a per-cell
-                // branch would mispredict often: compact the candidates
-                // branch-free, in cell order (one draw each, the order the
-                // RNG-stream contract fixes).
-                let mut n = 0;
-                for (j, (&v, &c)) in chunk.iter().zip(chunk_coupling).enumerate() {
-                    picked[n] = j as u16;
-                    volts[n] = v;
-                    coupling[n] = c;
-                    n += usize::from(v < INTERFERENCE_CEILING);
-                }
+                // branch would mispredict often: compact the candidates, in
+                // cell order (one draw each, the order the RNG-stream
+                // contract fixes).
+                let masks = &mut masks[..chunk.len().div_ceil(LANES)];
+                let keep = Keep::Below(INTERFERENCE_CEILING);
+                let n = isa::compact_where(chunk, keep, masks, &mut volts);
+                isa::compact(chunk_coupling, masks, &mut coupling);
                 draws.map(&mut bumped[..n], |k, z| {
                     let v = volts[k];
                     // Coupling saturates as stored charge approaches the
@@ -1070,9 +1066,7 @@ impl Chip {
                         * damping;
                     v + bump as f32
                 });
-                for (&j, &v) in picked[..n].iter().zip(&bumped[..n]) {
-                    chunk[usize::from(j)] = v;
-                }
+                isa::expand(&bumped[..n], masks, chunk);
             }
         }
     }
@@ -1344,6 +1338,36 @@ mod tests {
         let back = c.read_page(p).unwrap();
         let errs = back.hamming_distance(&data);
         assert!(errs <= 2, "unexpectedly high raw BER: {errs} errors");
+    }
+
+    #[test]
+    fn program_draws_land_on_the_zero_cells_in_order() {
+        // 257-byte pages: a whole chunk of 2048 cells, then 8 cells, half
+        // a lane group. No erratic victims, so only the draws move cells.
+        let mut profile = ChipProfile::test_small();
+        profile.geometry.page_bytes = 257;
+        (profile.defect_prob_base, profile.defect_prob_per_kpec) = (0.0, 0.0);
+        let cpp = profile.geometry.cells_per_page();
+        let p = PageId::new(BlockId(0), 3);
+        let mut chip = Chip::new(profile, 5);
+        chip.erase_block(p.block).unwrap();
+        // Every cell programmed takes the draws in cell order, so the k-th
+        // zero of any pattern must get cell k's voltage.
+        let mut all = chip.clone();
+        all.program_page(p, &BitPattern::zeros(cpp)).unwrap();
+        let mut data = BitPattern::random_half(&mut rand::rngs::SmallRng::seed_from_u64(4), cpp);
+        data.set(cpp - 1, false);
+        chip.program_page(p, &data).unwrap();
+        let volts = |c: &Chip| c.blocks[0].state.as_ref().unwrap().voltages[3 * cpp..].to_vec();
+        let (got, want) = (volts(&chip), volts(&all));
+        let zeros = (0..cpp).filter(|&i| !data.get(i));
+        for (k, i) in zeros.enumerate() {
+            assert_eq!(got[i].to_bits(), want[k].to_bits(), "zero {k} at cell {i}");
+        }
+        // The erased cells, tail included, and the next page hold no draw.
+        let erased = (0..cpp).filter(|&i| data.get(i)).chain(cpp..2 * cpp);
+        assert!(erased.clone().all(|i| got[i] < INTERFERENCE_CEILING), "a draw past the zeros");
+        assert!(erased.clone().any(|i| i >= cpp - 8 && i < cpp), "the tail holds an erased cell");
     }
 
     #[test]

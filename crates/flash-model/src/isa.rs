@@ -8,8 +8,16 @@
 //! `#[inline(always)]` body: `name(args)` runs the body at
 //! [`Isa::detected`], and `name_at(isa, args)` at a given level. On
 //! x86-64 the levels form one ladder, portable (SSE2) → AVX2 → AVX-512F,
-//! and the macro holds the only `#[target_feature]` wrappers, one per
-//! level above portable; every other target runs the portable body.
+//! and the macro holds one `#[target_feature]` wrapper per level above
+//! portable; every other target runs the portable body.
+//!
+//! The gather and scatter of a chunk's candidate cells
+//! ([`compact_where`], [`compact`], [`expand`]) cannot share one body:
+//! where each kept cell lands depends on every lane before it, so a
+//! compiler keeps the loop scalar at any width. Their AVX-512F bodies call
+//! `vcmpps`, `vcompressps` and `vexpandps` on 16-lane mask registers
+//! instead; the portable and AVX2 levels run the same branch-free loops.
+//! Every level writes the same values in the same cell order.
 //!
 //! `fast_ln`, `fast_sin_cos` and `fast_exp` are branchless stand-ins for
 //! libm (which does not vectorize) with pinned error bounds; the kernels
@@ -33,11 +41,14 @@ pub(crate) enum Level {
 
 impl Isa {
     /// The widest level this CPU offers. AVX-512F counts only beside AVX2,
-    /// so every level includes the ones below it.
+    /// so every level includes the ones below it, and beside POPCNT (which
+    /// every AVX-512 CPU has), which the gather and scatter kernels count
+    /// their lanes with.
     pub(crate) fn detected() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+            let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("popcnt");
             return Isa(if avx512 { Level::Avx512 } else { Level::Avx2 });
         }
         Isa(Level::Portable)
@@ -106,6 +117,258 @@ macro_rules! kernel {
     };
 }
 pub(crate) use kernel;
+
+/// Cells per lane mask: one bit per `f32` lane of an AVX-512 register. Bit
+/// `j` of `masks[g]` stands for cell `LANES·g + j` of a chunk.
+pub(crate) const LANES: usize = 16;
+
+/// The lanes of a group of `len` cells (all of them from `LANES` up).
+#[inline(always)]
+pub(crate) fn lanes(len: usize) -> u16 {
+    ((1u32 << len.min(LANES)) - 1) as u16
+}
+
+/// The cells [`compact_where`] keeps: those strictly below, or strictly
+/// above, a bound (IEEE comparisons, so a NaN is never kept).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Keep {
+    Below(f32),
+    Above(f32),
+}
+
+/// Gathers the cells of `src` that `keep` keeps into the front of `out`,
+/// in cell order, sets `masks[g]` to the lanes it kept of each group, and
+/// returns how many there are; the slots after them are scratch. `out`
+/// must hold `src.len()` rounded up to [`LANES`]. A group's lanes past the
+/// end of `src` stay clear.
+pub(crate) fn compact_where(src: &[f32], keep: Keep, masks: &mut [u16], out: &mut [f32]) -> usize {
+    compact_where_at(Isa::detected(), src, keep, masks, out)
+}
+
+/// [`compact_where`] at the vector level `isa`.
+pub(crate) fn compact_where_at(
+    isa: Isa,
+    src: &[f32],
+    keep: Keep,
+    masks: &mut [u16],
+    out: &mut [f32],
+) -> usize {
+    assert!(masks.len() >= src.len().div_ceil(LANES), "a mask per group of cells");
+    assert!(out.len() >= src.len().next_multiple_of(LANES), "room for whole groups");
+    match isa.level() {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX-512F and POPCNT.
+            unsafe { compact_where_avx512(src, keep, masks, out) }
+        }
+        _ => {
+            // One loop per bound: a compare chosen per cell costs both.
+            match keep {
+                Keep::Below(bound) => masks_where(src, |v| v < bound, masks),
+                Keep::Above(bound) => masks_where(src, |v| v > bound, masks),
+            }
+            compact_portable(src, masks, out)
+        }
+    }
+}
+
+/// Sets `masks[g]` to the lanes of group `g` of `src` that `keep` keeps.
+#[inline(always)]
+fn masks_where(src: &[f32], keep: impl Fn(f32) -> bool, masks: &mut [u16]) {
+    let mask =
+        |group: &[f32]| group.iter().enumerate().fold(0, |m, (j, &v)| m | u16::from(keep(v)) << j);
+    // Whole groups have a fixed length, so their loops unroll.
+    let (groups, rest) = src.as_chunks::<LANES>();
+    for (m, group) in masks.iter_mut().zip(groups) {
+        *m = mask(group);
+    }
+    if !rest.is_empty() {
+        masks[groups.len()] = mask(rest);
+    }
+}
+
+/// [`compact_where`]'s AVX-512F body: a `vcmpps` into a mask register
+/// picks each group's kept lanes, `vcompressps` packs them to the front of
+/// a register, and the whole register is stored at the next free slot.
+///
+/// # Safety
+///
+/// The CPU must offer AVX-512F and POPCNT, `masks` must hold a mask per
+/// group of `src`, and `out` must hold `src.len()` rounded up to [`LANES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+unsafe fn compact_where_avx512(
+    src: &[f32],
+    keep: Keep,
+    masks: &mut [u16],
+    out: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::{
+        _mm512_mask_cmp_ps_mask, _mm512_maskz_compress_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
+        _mm512_storeu_ps, _CMP_GT_OQ, _CMP_LT_OQ,
+    };
+    let mut n = 0;
+    for (mask, group) in masks.iter_mut().zip(src.chunks(LANES)) {
+        let valid = lanes(group.len());
+        // SAFETY: the load reads only the group's lanes; `n` is at most the
+        // group's first cell, so the store stays within the group's slots.
+        unsafe {
+            let v = _mm512_maskz_loadu_ps(valid, group.as_ptr());
+            // Ordered, quiet compares: Rust's `<` and `>`.
+            *mask = match keep {
+                Keep::Below(b) => {
+                    _mm512_mask_cmp_ps_mask::<_CMP_LT_OQ>(valid, v, _mm512_set1_ps(b))
+                }
+                Keep::Above(b) => {
+                    _mm512_mask_cmp_ps_mask::<_CMP_GT_OQ>(valid, v, _mm512_set1_ps(b))
+                }
+            };
+            _mm512_storeu_ps(out.as_mut_ptr().add(n), _mm512_maskz_compress_ps(*mask, v));
+        }
+        n += mask.count_ones() as usize;
+    }
+    n
+}
+
+/// Gathers the cells of `src` whose lanes are set in `masks` into the
+/// front of `out`, in cell order, and returns how many there are; the
+/// slots after them are scratch. `out` must hold `src.len()` rounded up to
+/// [`LANES`].
+pub(crate) fn compact(src: &[f32], masks: &[u16], out: &mut [f32]) -> usize {
+    compact_at(Isa::detected(), src, masks, out)
+}
+
+/// [`compact`] at the vector level `isa`.
+pub(crate) fn compact_at(isa: Isa, src: &[f32], masks: &[u16], out: &mut [f32]) -> usize {
+    assert!(masks.len() >= src.len().div_ceil(LANES), "a mask per group of cells");
+    assert!(out.len() >= src.len().next_multiple_of(LANES), "room for whole groups");
+    match isa.level() {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX-512F and POPCNT.
+            unsafe { compact_avx512(src, masks, out) }
+        }
+        _ => compact_portable(src, masks, out),
+    }
+}
+
+/// [`compact`]'s portable body, branch-free: every cell of a group is
+/// written to the group's next free slot, which only a kept cell advances.
+#[inline(always)]
+fn compact_portable(src: &[f32], masks: &[u16], out: &mut [f32]) -> usize {
+    let gather = |group: &[f32], m: u16, slots: &mut [f32; LANES]| {
+        let mut k = 0;
+        for (j, &v) in group.iter().enumerate() {
+            // `k ≤ j < LANES`; the remainder only spares a bounds check.
+            slots[k % LANES] = v;
+            k += usize::from(m >> j & 1 != 0);
+        }
+        k
+    };
+    // Whole groups have a fixed length, so their loops unroll. A group's
+    // slots start at most at its first cell, so they lie within `out`.
+    let (groups, rest) = src.as_chunks::<LANES>();
+    let mut n = 0;
+    for (group, &m) in groups.iter().zip(masks) {
+        n += gather(group, m, out[n..].first_chunk_mut().unwrap());
+    }
+    if !rest.is_empty() {
+        n += gather(rest, masks[groups.len()], out[n..].first_chunk_mut().unwrap());
+    }
+    n
+}
+
+/// [`compact`]'s AVX-512F body: `vcompressps` packs each group's kept
+/// lanes to the front of a register, and the whole register is stored at
+/// the next free slot.
+///
+/// # Safety
+///
+/// The CPU must offer AVX-512F and POPCNT, `masks` must hold a mask per
+/// group of `src`, and `out` must hold `src.len()` rounded up to [`LANES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+unsafe fn compact_avx512(src: &[f32], masks: &[u16], out: &mut [f32]) -> usize {
+    use std::arch::x86_64::{_mm512_maskz_compress_ps, _mm512_maskz_loadu_ps, _mm512_storeu_ps};
+    let mut n = 0;
+    for (group, &m) in src.chunks(LANES).zip(masks) {
+        let valid = lanes(group.len());
+        // SAFETY: the load reads only the group's lanes; `n` is at most the
+        // group's first cell, so the store stays within the group's slots.
+        unsafe {
+            let v = _mm512_maskz_loadu_ps(valid, group.as_ptr());
+            _mm512_storeu_ps(out.as_mut_ptr().add(n), _mm512_maskz_compress_ps(m & valid, v));
+        }
+        n += (m & valid).count_ones() as usize;
+    }
+    n
+}
+
+/// Scatters `dense` to the cells of `dst` whose lanes are set in `masks`,
+/// in cell order: the inverse of [`compact`]. The other cells keep their
+/// bits. `dense` must hold a value per set lane.
+pub(crate) fn expand(dense: &[f32], masks: &[u16], dst: &mut [f32]) {
+    expand_at(Isa::detected(), dense, masks, dst);
+}
+
+/// [`expand`] at the vector level `isa`.
+pub(crate) fn expand_at(isa: Isa, dense: &[f32], masks: &[u16], dst: &mut [f32]) {
+    assert!(masks.len() >= dst.len().div_ceil(LANES), "a mask per group of cells");
+    match isa.level() {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX-512F and POPCNT.
+            unsafe { expand_avx512(dense, masks, dst) }
+        }
+        _ => {
+            // The set lanes of four groups at a time, lowest first.
+            let mut values = dense.iter();
+            let groups = &masks[..dst.len().div_ceil(LANES)];
+            for (w, quad) in groups.chunks(4).enumerate() {
+                let mut bits = 0u64;
+                for (i, &m) in quad.iter().enumerate() {
+                    let first = LANES * (4 * w + i);
+                    bits |= u64::from(m & lanes(dst.len() - first)) << (LANES * i);
+                }
+                while bits != 0 {
+                    let cell = 4 * LANES * w + bits.trailing_zeros() as usize;
+                    dst[cell] = *values.next().expect("a value per set lane");
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// [`expand`]'s AVX-512F body: a masked `vexpandps` load spreads the next
+/// values over each group's set lanes, and a masked store writes only
+/// those lanes.
+///
+/// # Safety
+///
+/// The CPU must offer AVX-512F and POPCNT, and `masks` must hold a mask per
+/// group of `dst`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+unsafe fn expand_avx512(dense: &[f32], masks: &[u16], dst: &mut [f32]) {
+    use std::arch::x86_64::{_mm512_mask_storeu_ps, _mm512_maskz_expandloadu_ps};
+    let mut k = 0;
+    for (group, &m) in dst.chunks_mut(LANES).zip(masks) {
+        let m = m & lanes(group.len());
+        let set = m.count_ones() as usize;
+        assert!(k + set <= dense.len(), "a value per set lane");
+        // SAFETY: the load reads the next `set` values, all within
+        // `dense`; the store writes only the group's set lanes.
+        unsafe {
+            let v = _mm512_maskz_expandloadu_ps(m, dense.as_ptr().add(k));
+            _mm512_mask_storeu_ps(group.as_mut_ptr(), m, v);
+        }
+        k += set;
+    }
+}
 
 /// `1.5·2^52`: adding it rounds to an integer held in the low bits
 /// (`round()` is a libm call on baseline x86-64).
@@ -275,6 +538,7 @@ impl Isa {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::noise::CHUNK;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Runs `run` at every level in [`Isa::available`] and asserts that
@@ -296,6 +560,88 @@ pub(crate) mod tests {
         assert_eq!(levels.last(), Some(&Isa::detected()));
         let names: Vec<_> = levels.iter().map(|isa| isa.name()).collect();
         eprintln!("note: kernel bodies are checked at {names:?}; higher levels go unchecked");
+    }
+
+    /// Chunk lengths around a group's and a chunk's ends.
+    const GATHER_LENGTHS: [usize; 7] = [0, 1, 15, 16, 17, CHUNK - 1, CHUNK];
+
+    /// Runs `compact_where`, `compact` and `expand` at every level on
+    /// `cells` with `keep`, checks each against a plain filter, and returns
+    /// how many cells were kept.
+    fn check_gather_scatter(case: &str, cells: &[f32], keep: Keep) -> usize {
+        let keeps = |v: f32| match keep {
+            Keep::Below(bound) => v < bound,
+            Keep::Above(bound) => v > bound,
+        };
+        let kept: Vec<usize> = (0..cells.len()).filter(|&j| keeps(cells[j])).collect();
+        let want: Vec<u32> = kept.iter().map(|&j| cells[j].to_bits()).collect();
+        let groups = cells.len().div_ceil(LANES);
+        let (gathered, mut masks) = assert_levels_agree(case, |isa| {
+            let mut masks = vec![0xFFFFu16; groups];
+            let mut out = vec![f32::NAN; cells.len().next_multiple_of(LANES)];
+            let n = compact_where_at(isa, cells, keep, &mut masks, &mut out);
+            (out[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>(), masks)
+        });
+        assert_eq!(gathered, want, "{case}: compact_where");
+        let set = (0..cells.len()).filter(|&j| masks[j / LANES] >> (j % LANES) & 1 != 0);
+        assert!(set.eq(kept.iter().copied()), "{case}: masks");
+        // Stray lanes past the end are ignored.
+        if let Some(last) = masks.last_mut() {
+            *last |= !lanes(cells.len() - LANES * (groups - 1));
+        }
+        let gathered = assert_levels_agree(case, |isa| {
+            let mut out = vec![f32::NAN; cells.len().next_multiple_of(LANES)];
+            let n = compact_at(isa, cells, &masks, &mut out);
+            out[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        });
+        assert_eq!(gathered, want, "{case}: compact");
+        let n = kept.len();
+        // Scatter fresh values (exactly as many as kept) over cells whose
+        // bits differ from them.
+        let dense: Vec<f32> = (0..n).map(|k| -1.5 - k as f32).collect();
+        let scattered = assert_levels_agree(case, |isa| {
+            let mut dst = cells.to_vec();
+            expand_at(isa, &dense, &masks, &mut dst);
+            dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        });
+        let mut want: Vec<u32> = cells.iter().map(|v| v.to_bits()).collect();
+        for (&j, v) in kept.iter().zip(&dense) {
+            want[j] = v.to_bits();
+        }
+        assert_eq!(scattered, want, "{case}: expand");
+        n
+    }
+
+    #[test]
+    fn compact_and_expand_levels_agree() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let (below, above) = (Keep::Below(100.0), Keep::Above(0.0));
+        for len in GATHER_LENGTHS {
+            let case = |what: &str| format!("{what}, {len} cells");
+            // No candidates, then all of them, under each predicate.
+            let high: Vec<f32> = (0..len).map(|_| rng.gen_range(100.0..200.0)).collect();
+            assert_eq!(check_gather_scatter(&case("none below"), &high, below), 0);
+            assert_eq!(check_gather_scatter(&case("all above"), &high, above), len);
+            let low: Vec<f32> = (0..len).map(|_| rng.gen_range(-40.0..0.0)).collect();
+            assert_eq!(check_gather_scatter(&case("all below"), &low, below), len);
+            assert_eq!(check_gather_scatter(&case("none above"), &low, above), 0);
+            // Exactly at the ceiling, and both zeros, are not candidates.
+            let edges: Vec<f32> = (0..len).map(|j| [100.0, 0.0, -0.0][j % 3]).collect();
+            let ceiling = edges.iter().filter(|&&v| v == 100.0).count();
+            assert_eq!(check_gather_scatter(&case("edges below"), &edges, below), len - ceiling);
+            assert_eq!(check_gather_scatter(&case("edges above"), &edges, above), ceiling);
+            // A page-like mix with the edge values sprinkled in.
+            let mixed: Vec<f32> = (0..len)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => 100.0,
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ => rng.gen_range(-40.0..200.0),
+                })
+                .collect();
+            check_gather_scatter(&case("mixed below"), &mixed, below);
+            check_gather_scatter(&case("mixed above"), &mixed, above);
+        }
     }
 
     /// Uniforms covering every binary-exponent bin of `u1` (each bin's
@@ -398,7 +744,7 @@ pub(crate) mod tests {
     #[ignore = "a timing report, not a check"]
     fn kernel_timings() {
         use crate::latent::fill_bracketed_at;
-        use crate::noise::{decide_pairs_at, evaluate_pairs_at, map_ends_at, CHUNK};
+        use crate::noise::{decide_pairs_at, evaluate_pairs_at, map_ends_at};
         use std::hint::black_box;
         let mut rng = SmallRng::seed_from_u64(7);
         let u1: Vec<f64> = (0..CHUNK / 2).map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0)).collect();
@@ -409,6 +755,11 @@ pub(crate) mod tests {
             (0..CHUNK).map(|i| (150 * (i % 2)) as f32 + rng.gen_range(-40.0..40.0)).collect();
         let (mut out, mut tie) = (vec![0.0f32; CHUNK], vec![false; CHUNK]);
         let (mut outcomes, mut open) = (vec![0u8; CHUNK], vec![false; CHUNK / 2]);
+        let mut masks = [0u16; CHUNK / LANES];
+        // The same lobes in random order, for the gather and scatter.
+        let page: Vec<f32> = (0..CHUNK)
+            .map(|_| (150 * rng.gen_range(0..2)) as f32 + rng.gen_range(-40.0..40.0))
+            .collect();
         let program = |_: usize, z: f64| (165.0 + 9.0 * z) as f32;
         let probe = |k: usize, z: f64| {
             (f64::from(volts[k]) + (0.0 + 0.6 * z)).round().clamp(0.0, 255.0) as f32
@@ -435,7 +786,20 @@ pub(crate) mod tests {
                 black_box(fill_bracketed_at(isa, latent, lognormal, EXP_REL_ERR, &mut out));
             });
             println!("fill_coupling    {level:8} {ns:5.2} ns/cell");
-            black_box((lo, hi, &out, &outcomes, &open));
+            let below = Keep::Below(100.0);
+            let ns = ns_per_item(CHUNK, || {
+                black_box(compact_where_at(isa, &page, below, &mut masks, &mut out));
+            });
+            println!("compact_where    {level:8} {ns:5.2} ns/cell");
+            let ns = ns_per_item(CHUNK, || {
+                black_box(compact_at(isa, &page, &masks, &mut out));
+            });
+            println!("compact          {level:8} {ns:5.2} ns/cell");
+            let kept = compact_at(isa, &page, &masks, &mut out);
+            let mut cells = page.clone();
+            let ns = ns_per_item(CHUNK, || expand_at(isa, &out[..kept], &masks, &mut cells));
+            println!("expand           {level:8} {ns:5.2} ns/cell");
+            black_box((lo, hi, &out, &outcomes, &open, &cells));
         }
     }
 }

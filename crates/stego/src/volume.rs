@@ -57,14 +57,22 @@ impl StegoConfig {
     /// Hidden bytes per slot: the VT-HI page payload minus the integrity
     /// tag every slot carries.
     pub fn slot_bytes(&self) -> usize {
-        self.vthi.payload_bytes_per_page().saturating_sub(self.tag_bytes())
+        self.sizes().0
     }
 
     /// Width of the per-slot integrity tag: a quarter of the page payload,
     /// clamped to `[1, 4]` bytes, so tiny geometries still keep most of
     /// their capacity while large ones get the full CRC-32.
     pub fn tag_bytes(&self) -> usize {
-        (self.vthi.payload_bytes_per_page() / 4).clamp(1, MAX_TAG_BYTES)
+        self.sizes().1
+    }
+
+    /// `(slot_bytes, tag_bytes)` from one payload query (each query builds
+    /// the payload's BCH code).
+    fn sizes(&self) -> (usize, usize) {
+        let payload = self.vthi.payload_bytes_per_page();
+        let tag = (payload / 4).clamp(1, MAX_TAG_BYTES);
+        (payload.saturating_sub(tag), tag)
     }
 }
 
@@ -203,6 +211,10 @@ pub struct HiddenVolume<D: NandDevice = Chip> {
     ftl: Ftl<D>,
     key: HidingKey,
     cfg: StegoConfig,
+    /// [`StegoConfig::slot_bytes`] and [`StegoConfig::tag_bytes`], derived
+    /// once at format.
+    slot_bytes: usize,
+    tag_bytes: usize,
     /// Data slots exposed to the user (parity slots live after them).
     data_slots: usize,
     /// Slot → owning public LPN (keyed permutation, derived at mount).
@@ -261,10 +273,13 @@ impl<D: NandDevice> HiddenVolume<D> {
         // Inherit a tracer already attached to the FTL, so a remount over
         // a traced FTL is traced from the first decode.
         let tracer = ftl.tracer().cloned();
+        let (slot_bytes, tag_bytes) = cfg.sizes();
         Ok(HiddenVolume {
             ftl,
             key,
             cfg,
+            slot_bytes,
+            tag_bytes,
             data_slots: slots,
             slot_lpn,
             lpn_slot,
@@ -314,7 +329,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         // rebuilding both for every slot.
         let pages: Vec<Option<stash_flash::PageId>> =
             (0..total).map(|slot| vol.ftl.physical_of(vol.slot_lpn[slot])).collect();
-        let tag_bytes = vol.cfg.tag_bytes();
+        let tag_bytes = vol.tag_bytes;
         let key = vol.key.clone();
         let vthi_cfg = vol.cfg.vthi.clone();
         let tracer = vol.tracer.clone();
@@ -496,12 +511,12 @@ impl<D: NandDevice> HiddenVolume<D> {
 
     /// Hidden bytes the volume still promises to hold.
     pub fn advertised_capacity_bytes(&self) -> usize {
-        self.advertised_slot_count() * self.slot_bytes()
+        self.advertised_slot_count() * self.slot_bytes
     }
 
     /// Bytes per slot.
     pub fn slot_bytes(&self) -> usize {
-        self.cfg.slot_bytes()
+        self.slot_bytes
     }
 
     /// The underlying FTL (public volume view).
@@ -591,9 +606,9 @@ impl<D: NandDevice> HiddenVolume<D> {
                 count: self.data_slot_count(),
             });
         }
-        if payload.len() != self.slot_bytes() {
+        if payload.len() != self.slot_bytes {
             return Err(StegoError::PayloadLength {
-                expected: self.slot_bytes(),
+                expected: self.slot_bytes,
                 got: payload.len(),
             });
         }
@@ -606,7 +621,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         if let Some(group) = data_slot.checked_div(self.cfg.parity_group) {
             for member in self.group_members(group) {
                 if self.cache[member].is_none() {
-                    self.cache[member] = Some(vec![0u8; self.slot_bytes()]);
+                    self.cache[member] = Some(vec![0u8; self.slot_bytes]);
                     self.dirty[member] = true;
                 }
             }
@@ -848,7 +863,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         let group = self.group_of(slot);
         let mut members = self.group_members(group);
         members.push(self.parity_slot_of_group(group));
-        let mut acc = vec![0u8; self.slot_bytes()];
+        let mut acc = vec![0u8; self.slot_bytes];
         for &m in &members {
             if m == slot {
                 continue;
@@ -871,7 +886,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         if parity_slot >= self.cache.len() {
             return;
         }
-        let mut acc = vec![0u8; self.slot_bytes()];
+        let mut acc = vec![0u8; self.slot_bytes];
         let mut any = false;
         for s in self.group_members(group) {
             if let Some(data) = &self.cache[s] {
@@ -912,7 +927,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         // Tag + payload fill the full VT-HI page payload; the tag travels
         // through the same PP train, so a torn embed tears it too.
         let mut encoded = payload;
-        encoded.extend_from_slice(&slot_tag(&encoded, slot, self.cfg.tag_bytes()));
+        encoded.extend_from_slice(&slot_tag(&encoded, slot, self.tag_bytes));
         let public = {
             let _cover = span!(self.tracer, "cover_read");
             self.ftl.chip_mut().read_page(page).map_err(HideError::from)?
@@ -947,7 +962,7 @@ impl<D: NandDevice> HiddenVolume<D> {
         let key = self.key.clone();
         let cfg = self.cfg.vthi.clone();
         let tracer = self.tracer.clone();
-        let tag_bytes = self.cfg.tag_bytes();
+        let tag_bytes = self.tag_bytes;
         let mut hider = Hider::new(self.ftl.chip_mut(), key, cfg)
             .with_selection_mode(SelectionMode::Absolute)
             .with_retry_policy(RetryPolicy::standard())

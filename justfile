@@ -12,7 +12,10 @@ verify:
 
 # The CI gate: no registry package in either lockfile (every crates.io name
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
-# full workspace test suite, the benchmark's own unit tests (they pin
+# full workspace test suite, the flash model's tests again in an optimized
+# build (the chunk kernels' bit-exactness across vector levels and the
+# digests must hold where the optimizer rewrites them), the benchmark's own
+# unit tests (they pin
 # BENCHMARK.json's metric list against the code), every crate's docs,
 # private items included, with warnings denied, the crash, array and
 # postmortem smokes, the regression sentinel, and the committed results/
@@ -22,6 +25,7 @@ ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets --locked -- -D warnings
     cargo test -q --workspace --locked
+    cargo test -q --release -p stash-flash --locked
     cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --workspace --locked
     just crash-smoke
@@ -102,8 +106,9 @@ baseline:
     ./target/release/bench_compare --write-baseline results/BASELINE.json target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json
 
 # In-process cost of each chunk kernel (pair evaluation, bracket map,
-# threshold decisions, coupling fill) at every vector level this CPU
-# offers: median ns per draw or cell over 9 rounds of 3000 chunk calls.
+# threshold decisions, coupling fill, candidate gather and scatter) at
+# every vector level this CPU offers: median ns per draw or cell over 9
+# rounds of 3000 chunk calls.
 kernel-times:
     cargo test --release -p stash-flash --lib kernel_timings -- --ignored --nocapture
 
