@@ -1745,6 +1745,35 @@ mod tests {
     }
 
     #[test]
+    fn clone_mid_stretch_continues_identically() {
+        use crate::snapshot::{DeviceState, StateWriter};
+        let bytes = |c: &Chip| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut c = chip();
+        let (p, _) = programmed_page(&mut c);
+        // An odd number of single draws leaves the generator mid-stretch,
+        // off a pair boundary.
+        c.read_page(p).unwrap();
+        rand::RngCore::next_u64(&mut c.rng);
+        let mut twin = c.clone();
+        assert_eq!(bytes(&twin), bytes(&c));
+        let mask = BitPattern::ones(c.geometry().cells_per_page());
+        for _ in 0..3 {
+            assert_eq!(c.read_page(p).unwrap(), twin.read_page(p).unwrap());
+            assert_eq!(c.probe_voltages(p).unwrap(), twin.probe_voltages(p).unwrap());
+            c.partial_program(p, &mask).unwrap();
+            twin.partial_program(p, &mask).unwrap();
+        }
+        c.erase_block(p.block).unwrap();
+        twin.erase_block(p.block).unwrap();
+        assert_eq!(bytes(&twin), bytes(&c));
+        assert_eq!(c.rng, twin.rng);
+    }
+
+    #[test]
     fn snapshot_rejects_wrong_seed() {
         use crate::snapshot::{DeviceState, SnapshotError, StateReader, StateWriter};
         let c = Chip::new(ChipProfile::test_small(), 1);

@@ -16,16 +16,21 @@
 //! where each kept cell lands depends on every lane before it, so a
 //! compiler keeps the loop scalar at any width. Their AVX-512F bodies call
 //! `vcmpps`, `vcompressps` and `vexpandps` on 16-lane mask registers
-//! instead; the portable and AVX2 levels run the same branch-free loops.
-//! Every level writes the same values in the same cell order.
+//! instead, and their AVX2 bodies take each group in two halves of eight
+//! lanes: `vmovmskps` gives a half's lane mask, and a `vpermps` by a
+//! 256-entry table packs or spreads its lanes. The portable level runs
+//! branch-free loops. Every level writes the same values in the same cell
+//! order.
 //!
 //! `fast_ln`, `fast_sin_cos` and `fast_exp` are branchless stand-ins for
 //! libm (which does not vectorize) with pinned error bounds; the kernels
 //! bracket their results by those bounds and fall back to libm on a tie.
 
+use std::sync::OnceLock;
+
 /// A vector level this CPU offers. Values are built only by
-/// [`detected`](Self::detected), so running a kernel body compiled for one
-/// is sound.
+/// [`detected`](Self::detected), which can only lower the CPU's level, so
+/// running a kernel body compiled for one is sound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Isa(Level);
 
@@ -40,18 +45,53 @@ pub(crate) enum Level {
 }
 
 impl Isa {
-    /// The widest level this CPU offers. AVX-512F counts only beside AVX2,
-    /// so every level includes the ones below it, and beside POPCNT (which
-    /// every AVX-512 CPU has), which the gather and scatter kernels count
-    /// their lanes with.
+    /// The level the kernels run at: the widest this CPU offers, lowered to
+    /// the cap `STASH_ISA` names (`portable`, `avx2` or `avx512`) when it is
+    /// set, so the lower levels can be run end to end on a wider CPU. Both
+    /// are read once per process. AVX-512F counts only beside AVX2, so
+    /// every level includes the ones below it, and AVX2 only beside POPCNT
+    /// (which every AVX2 CPU has), which the gather and scatter kernels
+    /// count their lanes with.
+    ///
+    /// # Panics
+    ///
+    /// If `STASH_ISA` is set to another value.
     pub(crate) fn detected() -> Isa {
+        static DETECTED: OnceLock<Isa> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            let cpu = Isa::cpu();
+            match std::env::var("STASH_ISA") {
+                Ok(cap) => cpu.min(Isa::named(&cap)),
+                Err(_) => cpu,
+            }
+        })
+    }
+
+    /// The widest level this CPU offers.
+    fn cpu() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let avx512 = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("popcnt");
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            let avx512 = std::arch::is_x86_feature_detected!("avx512f");
             return Isa(if avx512 { Level::Avx512 } else { Level::Avx2 });
         }
         Isa(Level::Portable)
+    }
+
+    /// The cap a `STASH_ISA` value names. On a target without the x86
+    /// levels every value runs the portable level anyway.
+    fn named(cap: &str) -> Isa {
+        match cap {
+            "portable" => Isa(Level::Portable),
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => Isa(Level::Avx2),
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => Isa(Level::Avx512),
+            #[cfg(not(target_arch = "x86_64"))]
+            "avx2" | "avx512" => Isa(Level::Portable),
+            _ => panic!("STASH_ISA is {cap:?}; expected portable, avx2 or avx512"),
+        }
     }
 
     /// The level, for [`kernel!`]'s dispatch.
@@ -162,7 +202,13 @@ pub(crate) fn compact_where_at(
             // level only when the CPU offers AVX-512F and POPCNT.
             unsafe { compact_where_avx512(src, keep, masks, out) }
         }
-        _ => {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX2 and POPCNT.
+            unsafe { compact_where_avx2(src, keep, masks, out) }
+        }
+        Level::Portable => {
             // One loop per bound: a compare chosen per cell costs both.
             match keep {
                 Keep::Below(bound) => masks_where(src, |v| v < bound, masks),
@@ -250,7 +296,13 @@ pub(crate) fn compact_at(isa: Isa, src: &[f32], masks: &[u16], out: &mut [f32]) 
             // level only when the CPU offers AVX-512F and POPCNT.
             unsafe { compact_avx512(src, masks, out) }
         }
-        _ => compact_portable(src, masks, out),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX2 and POPCNT.
+            unsafe { compact_avx2(src, masks, out) }
+        }
+        Level::Portable => compact_portable(src, masks, out),
     }
 }
 
@@ -323,7 +375,13 @@ pub(crate) fn expand_at(isa: Isa, dense: &[f32], masks: &[u16], dst: &mut [f32])
             // level only when the CPU offers AVX-512F and POPCNT.
             unsafe { expand_avx512(dense, masks, dst) }
         }
-        _ => {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            // SAFETY: an `Isa` is only built by detection, which gives this
+            // level only when the CPU offers AVX2 and POPCNT.
+            unsafe { expand_avx2(dense, masks, dst) }
+        }
+        Level::Portable => {
             // The set lanes of four groups at a time, lowest first.
             let mut values = dense.iter();
             let groups = &masks[..dst.len().div_ceil(LANES)];
@@ -367,6 +425,213 @@ unsafe fn expand_avx512(dense: &[f32], masks: &[u16], dst: &mut [f32]) {
             _mm512_mask_storeu_ps(group.as_mut_ptr(), m, v);
         }
         k += set;
+    }
+}
+
+/// Lanes of an AVX2 register of `f32`s: each [`LANES`]-cell group is two
+/// halves.
+#[cfg(target_arch = "x86_64")]
+const HALF: usize = 8;
+
+/// Per mask of a half's lanes: the set lanes, lowest first (the rest 0).
+/// `vpermps` by this packs the set lanes to the front of a register.
+#[cfg(target_arch = "x86_64")]
+static PACK: [[u32; HALF]; 256] = {
+    let mut table = [[0; HALF]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut lane, mut k) = (0, 0);
+        while lane < HALF {
+            if m >> lane & 1 != 0 {
+                table[m][k] = lane as u32;
+                k += 1;
+            }
+            lane += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// Per mask of a half's lanes: each lane's rank among the set lanes below
+/// it. `vpermps` by this spreads packed values over the set lanes (the
+/// inverse of [`PACK`] on those lanes).
+#[cfg(target_arch = "x86_64")]
+static SPREAD: [[u32; HALF]; 256] = {
+    let mut table = [[0; HALF]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut lane = 0;
+        while lane < HALF {
+            table[m][lane] = (m & ((1 << lane) - 1)).count_ones();
+            lane += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// The lanes of a half of `len` cells (all eight from [`HALF`] up).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn half_lanes(len: usize) -> u32 {
+    (1 << len.min(HALF)) - 1
+}
+
+/// A `vmaskmovps` mask: the sign bit of each lane set in `m`.
+///
+/// # Safety
+///
+/// The CPU must offer AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_mask(m: u32) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::{
+        _mm256_and_si256, _mm256_cmpeq_epi32, _mm256_set1_epi32, _mm256_setr_epi32,
+    };
+    let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(m as i32), bits), bits)
+}
+
+/// The cells of a half (at most [`HALF`]), lanes past its end zero.
+///
+/// # Safety
+///
+/// The CPU must offer AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn load_half(half: &[f32]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_maskload_ps};
+    // SAFETY: a whole half is eight cells; a masked load reads only the
+    // half's lanes.
+    unsafe {
+        if half.len() >= HALF {
+            _mm256_loadu_ps(half.as_ptr())
+        } else {
+            _mm256_maskload_ps(half.as_ptr(), lane_mask(half_lanes(half.len())))
+        }
+    }
+}
+
+/// Packs the lanes of `v` set in `m` to the front and stores all eight
+/// lanes at `out[n..]`, returning how many were set.
+///
+/// # Safety
+///
+/// The CPU must offer AVX2 and POPCNT, and `out` must hold `n + 8` slots.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn pack_half(v: std::arch::x86_64::__m256, m: u32, out: &mut [f32], n: usize) -> usize {
+    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_permutevar8x32_ps, _mm256_storeu_ps};
+    debug_assert!(n + HALF <= out.len());
+    // SAFETY: a table row is eight `u32`s; the store stays within `out`.
+    unsafe {
+        let index = _mm256_loadu_si256(PACK[m as usize].as_ptr().cast());
+        _mm256_storeu_ps(out.as_mut_ptr().add(n), _mm256_permutevar8x32_ps(v, index));
+    }
+    m.count_ones() as usize
+}
+
+/// [`compact_where`]'s AVX2 body: per half of each group, a `vcmpps` and
+/// `vmovmskps` give the kept lanes, a `vpermps` by [`PACK`] packs them to
+/// the front, and the whole register is stored at the next free slot.
+///
+/// # Safety
+///
+/// The CPU must offer AVX2 and POPCNT, `masks` must hold a mask per group
+/// of `src`, and `out` must hold `src.len()` rounded up to [`LANES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn compact_where_avx2(src: &[f32], keep: Keep, masks: &mut [u16], out: &mut [f32]) -> usize {
+    use std::arch::x86_64::{
+        _mm256_cmp_ps, _mm256_movemask_ps, _mm256_set1_ps, _CMP_GT_OQ, _CMP_LT_OQ,
+    };
+    let mut n = 0;
+    for (mask, group) in masks.iter_mut().zip(src.chunks(LANES)) {
+        *mask = 0;
+        for (h, half) in group.chunks(HALF).enumerate() {
+            // SAFETY: a half's slots start at most at its first cell, so
+            // eight of them lie within `out`.
+            unsafe {
+                let v = load_half(half);
+                // Ordered, quiet compares: Rust's `<` and `>`.
+                let kept = match keep {
+                    Keep::Below(b) => _mm256_cmp_ps::<_CMP_LT_OQ>(v, _mm256_set1_ps(b)),
+                    Keep::Above(b) => _mm256_cmp_ps::<_CMP_GT_OQ>(v, _mm256_set1_ps(b)),
+                };
+                let m = _mm256_movemask_ps(kept) as u32 & half_lanes(half.len());
+                *mask |= (m as u16) << (HALF * h);
+                n += pack_half(v, m, out, n);
+            }
+        }
+    }
+    n
+}
+
+/// [`compact`]'s AVX2 body: [`compact_where_avx2`]'s pack, by given masks.
+///
+/// # Safety
+///
+/// The CPU must offer AVX2 and POPCNT, `masks` must hold a mask per group
+/// of `src`, and `out` must hold `src.len()` rounded up to [`LANES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn compact_avx2(src: &[f32], masks: &[u16], out: &mut [f32]) -> usize {
+    let mut n = 0;
+    for (group, &mask) in src.chunks(LANES).zip(masks) {
+        for (h, half) in group.chunks(HALF).enumerate() {
+            let m = u32::from(mask) >> (HALF * h) & half_lanes(half.len());
+            // SAFETY: as in `compact_where_avx2`.
+            n += unsafe { pack_half(load_half(half), m, out, n) };
+        }
+    }
+    n
+}
+
+/// [`expand`]'s AVX2 body: per half of each group, the next values are
+/// loaded, a `vpermps` by [`SPREAD`] moves them onto the set lanes, and a
+/// blend keeps the other lanes' bits (a masked store in a group's last,
+/// partial half).
+///
+/// # Safety
+///
+/// The CPU must offer AVX2 and POPCNT, and `masks` must hold a mask per
+/// group of `dst`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn expand_avx2(dense: &[f32], masks: &[u16], dst: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_blendv_ps, _mm256_castsi256_ps, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_permutevar8x32_ps, _mm256_storeu_ps,
+    };
+    let mut k = 0;
+    for (group, &mask) in dst.chunks_mut(LANES).zip(masks) {
+        for (h, half) in group.chunks_mut(HALF).enumerate() {
+            let m = u32::from(mask) >> (HALF * h) & half_lanes(half.len());
+            let set = m.count_ones() as usize;
+            assert!(k + set <= dense.len(), "a value per set lane");
+            // SAFETY: the loads read within `dense` (a masked load only its
+            // next `set` values) and within the half; the stores write the
+            // half, a masked one only its set lanes.
+            unsafe {
+                let next = dense.as_ptr().add(k);
+                let values = if k + HALF <= dense.len() {
+                    _mm256_loadu_ps(next)
+                } else {
+                    _mm256_maskload_ps(next, lane_mask(half_lanes(set)))
+                };
+                let index = _mm256_loadu_si256(SPREAD[m as usize].as_ptr().cast());
+                let spread = _mm256_permutevar8x32_ps(values, index);
+                if half.len() == HALF {
+                    let set_lanes = _mm256_castsi256_ps(lane_mask(m));
+                    let cells = _mm256_loadu_ps(half.as_ptr());
+                    _mm256_storeu_ps(half.as_mut_ptr(), _mm256_blendv_ps(cells, spread, set_lanes));
+                } else {
+                    _mm256_maskstore_ps(half.as_mut_ptr(), lane_mask(m), spread);
+                }
+            }
+            k += set;
+        }
     }
 }
 
@@ -738,13 +1003,19 @@ pub(crate) mod tests {
     }
 
     /// Prints each chunk kernel's cost at every level this CPU offers, on
-    /// chunks of [`CHUNK`](crate::noise::CHUNK) draws or cells (`just kernel-times` runs it in
+    /// chunks of [`CHUNK`](crate::noise::CHUNK) draws or cells (the
+    /// uniforms: of half as many pairs, or of one generator stretch) (`just kernel-times` runs it in
     /// release mode).
     #[test]
     #[ignore = "a timing report, not a check"]
     fn kernel_timings() {
         use crate::latent::fill_bracketed_at;
-        use crate::noise::{decide_pairs_at, evaluate_pairs_at, map_ends_at};
+        use crate::noise::{
+            decide_pairs_at, draw_uniforms, evaluate_pairs_at, map_ends_at, to_uniforms_at,
+            Gaussian,
+        };
+        use crate::rng::{self, ChipRng};
+        use rand::RngCore;
         use std::hint::black_box;
         let mut rng = SmallRng::seed_from_u64(7);
         let u1: Vec<f64> = (0..CHUNK / 2).map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0)).collect();
@@ -764,6 +1035,16 @@ pub(crate) mod tests {
         let probe = |k: usize, z: f64| {
             (f64::from(volts[k]) + (0.0 + 0.6 * z)).round().clamp(0.0, 255.0) as f32
         };
+        // The uniforms: the serial generator's loop, and the chip
+        // generator's lanes (lane step, the jumps to the next stretch and
+        // the conversion with its zero-`u1` check) over one stretch of
+        // pairs. They run after each level's other kernels, so an AVX-512
+        // lane step's clock drop cannot reach those.
+        let mut serial = SmallRng::seed_from_u64(8);
+        let mut lanes = [[0u64; rng::LANES]; 4].map(|row| row.map(|_| serial.next_u64()));
+        let mut words = Box::new([0u64; rng::STRETCH]);
+        let (mut p1, mut p2) = (vec![0.0; CHUNK / 2], vec![0.0; CHUNK / 2]);
+        let mut chip = ChipRng::seed_from_u64(8);
         for isa in Isa::available() {
             let level = isa.name();
             let ns = ns_per_item(CHUNK, || evaluate_pairs_at(isa, &u1, &u2, &mut lo, &mut hi));
@@ -799,7 +1080,29 @@ pub(crate) mod tests {
             let mut cells = page.clone();
             let ns = ns_per_item(CHUNK, || expand_at(isa, &out[..kept], &masks, &mut cells));
             println!("expand           {level:8} {ns:5.2} ns/cell");
+            let ns = ns_per_item(CHUNK / 2, || {
+                for (u1, u2) in p1.iter_mut().zip(&mut p2) {
+                    (*u1, *u2) = Gaussian::uniforms(&mut serial);
+                }
+            });
+            println!("uniform pairs    {level:8} {ns:5.2} ns/pair (serial loop)");
+            let ns = ns_per_item(rng::STRETCH / 2, || {
+                let ends: [[u64; 4]; rng::LANES] = std::array::from_fn(|j| lanes.map(|row| row[j]));
+                for end in &ends[1..] {
+                    black_box(rng::jump(end));
+                }
+                rng::lane_step_at(isa, &mut lanes, &mut words);
+                // Two requests of a chunk's pairs, as the bracketed stream
+                // makes them.
+                for words in words.chunks(CHUNK) {
+                    black_box(to_uniforms_at(isa, words, &mut p1, &mut p2));
+                }
+            });
+            println!("uniform pairs    {level:8} {ns:5.2} ns/pair (lanes)");
+            black_box((&p1, &p2));
             black_box((lo, hi, &out, &outcomes, &open, &cells));
         }
+        let ns = ns_per_item(CHUNK / 2, || draw_uniforms(&mut chip, &mut p1, &mut p2));
+        println!("uniform pairs    chip     {ns:5.2} ns/pair (as dispatched)");
     }
 }

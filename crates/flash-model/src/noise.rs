@@ -32,12 +32,17 @@
 //!   the transcendental functions.
 //!
 //! `Gaussian::skip` advances the stream past draws whose values would be
-//! overwritten unread. The branch-free chunk loops (`evaluate_pairs`,
+//! overwritten unread. All three bulk paths take their uniforms through one
+//! entry, `uniform_pairs`, which hands over the chip generator's buffered
+//! words a stretch at a time (see [`ChipRng`]) and keeps
+//! `Gaussian::uniforms`'s retry rule; `draw_uniforms` converts them. The
+//! branch-free chunk loops (`clean_pairs`, `to_uniforms`, `evaluate_pairs`,
 //! `map_ends`, `decide_pairs`) are stamped by `isa::kernel!` and run at the
 //! vector level the CPU offers.
 
 use crate::isa::{fast_ln, fast_sin_cos, kernel, FAST_REL_ERR};
-use rand::Rng;
+use crate::rng::ChipRng;
+use rand::{Rng, RngCore};
 
 /// A Box–Muller standard-normal sampler that caches the spare variate.
 #[derive(Debug, Clone, Default)]
@@ -72,7 +77,7 @@ impl Gaussian {
     /// The two uniforms behind one pair, drawn in stream order. `u1` is
     /// redrawn until positive so its logarithm is finite.
     #[inline]
-    fn uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    pub(crate) fn uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
         let u1: f64 = loop {
             let u = rng.gen::<f64>();
             if u > f64::MIN_POSITIVE {
@@ -120,14 +125,12 @@ impl Gaussian {
     /// would, for draws whose values would be overwritten unread. Only an
     /// odd trailing pair is evaluated, because its second variate becomes
     /// the cached spare.
-    pub(crate) fn skip<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
+    pub(crate) fn skip(&mut self, rng: &mut ChipRng, n: usize) {
         let mut n = n;
         if n > 0 && self.spare.take().is_some() {
             n -= 1;
         }
-        for _ in 0..n / 2 {
-            Self::uniforms(rng);
-        }
+        uniform_pairs(rng, n / 2, clean_pairs);
         if n % 2 == 1 {
             self.spare = Some(Self::pair(rng).1);
         }
@@ -138,10 +141,7 @@ impl Gaussian {
     /// The stream is not sized up front: whatever chunks are requested,
     /// dropping the stream leaves the RNG and the cached spare exactly
     /// where [`fill`](Self::fill) of their total leaves them.
-    pub(crate) fn bracketed<'a, R: Rng + ?Sized>(
-        &'a mut self,
-        rng: &'a mut R,
-    ) -> BracketedNormals<'a, R> {
+    pub(crate) fn bracketed<'a>(&'a mut self, rng: &'a mut ChipRng) -> BracketedNormals<'a> {
         BracketedNormals {
             gauss: self,
             rng,
@@ -171,9 +171,9 @@ impl Gaussian {
     /// shifts every later cell by one bit, which is carried from chunk to
     /// chunk. An odd trailing pair is evaluated in full, since its
     /// second variate becomes the cached spare.
-    pub(crate) fn threshold_read<R: Rng + ?Sized>(
+    pub(crate) fn threshold_read(
         &mut self,
-        rng: &mut R,
+        rng: &mut ChipRng,
         volts: &[f32],
         sigma: f64,
         vref: f64,
@@ -200,9 +200,7 @@ impl Gaussian {
         let (paired, odd) = rest.split_at(rest.len() & !1);
         for cells in paired.chunks(2 * READ_PAIRS) {
             let n = cells.len() / 2;
-            for (u1, u2) in u1[..n].iter_mut().zip(&mut u2[..n]) {
-                (*u1, *u2) = Self::uniforms(rng);
-            }
+            draw_uniforms(rng, &mut u1[..n], &mut u2[..n]);
             let filled = carried + 2 * n;
             let outcomes = &mut bits[carried..filled];
             decide_pairs(&u1[..n], cells, sigma, vref, outcomes, &mut open[..n]);
@@ -263,13 +261,105 @@ fn box_muller_out_of_line(u1: f64, u2: f64) -> (f64, f64) {
     box_muller(u1, u2)
 }
 
-/// Draws one pair's uniforms per slot of `u1`/`u2`, in stream order (see
-/// [`Gaussian::uniforms`]). The generator and the buffers are separate
-/// arguments, so the compiler may keep the generator's state in registers
-/// for the whole loop instead of storing it after every draw.
-fn draw_uniforms<R: Rng + ?Sized>(rng: &mut R, u1: &mut [f64], u2: &mut [f64]) {
-    for (u1, u2) in u1.iter_mut().zip(u2) {
-        (*u1, *u2) = Gaussian::uniforms(rng);
+/// Draws one pair's uniforms per slot of `u1`/`u2`, in stream order,
+/// bit-identical to [`Gaussian::uniforms`] (its retry included): the
+/// words come from [`uniform_pairs`] and are converted in bulk by
+/// [`to_uniforms`].
+pub(crate) fn draw_uniforms(rng: &mut ChipRng, u1: &mut [f64], u2: &mut [f64]) {
+    assert_eq!(u1.len(), u2.len(), "a slot of each uniform per pair");
+    let mut p = 0;
+    uniform_pairs(rng, u1.len(), |words| {
+        let n = words.len() / 2;
+        let taken = to_uniforms(words, &mut u1[p..p + n], &mut u2[p..p + n]);
+        p += taken;
+        taken
+    });
+}
+
+/// Hands the words behind the stream's next `pairs` Box–Muller pairs to
+/// `take`, in stream order and in runs of whole pairs (`u1`'s word, then
+/// `u2`'s), as [`Gaussian::uniforms`] draws them. The generator's buffered
+/// words go in bulk, and `take` returns how many leading pairs of a run it
+/// took: those before the first whose `u1` word is not [`positive`], which
+/// `uniforms` redraws ([`clean_pairs`] counts them). That word shifts every
+/// later pair by one, so the pair it would start is drawn by scalar pops
+/// from the word after it, as is a pair that straddles two stretches, and
+/// handed to `take` as a run of its own.
+fn uniform_pairs(rng: &mut ChipRng, pairs: usize, mut take: impl FnMut(&[u64]) -> usize) {
+    let mut left = pairs;
+    while left > 0 {
+        let words = rng.buffered();
+        let run = (words.len() / 2).min(left);
+        let taken = take(&words[..2 * run]);
+        debug_assert_eq!(taken, clean_pairs(&words[..2 * run]), "a take stops at a zero u1");
+        rng.advance(2 * taken);
+        left -= taken;
+        if taken < run || run == 0 {
+            let u1 = std::iter::repeat_with(|| rng.next_u64()).find(|&w| positive(w));
+            take(&[u1.expect("an endless stream"), rng.next_u64()]);
+            left -= 1;
+        }
+    }
+}
+
+/// Whether `rng.gen::<f64>()` of the word `w` is positive (its top 53
+/// bits are not all zero), which [`Gaussian::uniforms`] requires of `u1`.
+#[inline(always)]
+fn positive(w: u64) -> bool {
+    w >> 11 != 0
+}
+
+/// `rng.gen::<f64>()` of the word `w`: its top 53 bits times `2^-53`,
+/// converted exactly without a 64-bit integer conversion (only AVX-512DQ
+/// has one). The top 52 bits become a mantissa under `1.0`'s exponent,
+/// and subtracting 1.0 leaves them times `2^-52` (exact, by Sterbenz); the
+/// 53rd bit adds `2^-53` or zero, and the sum of a multiple of `2^-53`
+/// below 1 is exact too.
+#[inline(always)]
+fn uniform(w: u64) -> f64 {
+    let top = f64::from_bits(1f64.to_bits() | (w >> 12)) - 1.0;
+    let last = f64::from_bits(0u64.wrapping_sub(w >> 11 & 1) & 2f64.powi(-53).to_bits());
+    top + last
+}
+
+kernel! {
+    /// The whole pairs of `words` (`u1`'s word, then `u2`'s) before the
+    /// first whose `u1` word is not [`positive`]. The scan is branch-free,
+    /// so it vectorizes; the position is looked for only when there is one
+    /// (one pair in `2^53`).
+    pub(crate) fn clean_pairs / clean_pairs_at(words: &[u64]) -> usize {
+        let (pairs, _) = words.as_chunks::<2>();
+        // `w >> 11` is below `2^53`, so `(w >> 11) − 1` has its top bit set
+        // only when it wraps, at zero.
+        let wrapped = pairs.iter().fold(0, |any, pair| any | (pair[0] >> 11).wrapping_sub(1));
+        if wrapped >> 63 != 0 {
+            pairs.iter().position(|pair| !positive(pair[0])).expect("a zero u1 word")
+        } else {
+            pairs.len()
+        }
+    }
+}
+
+kernel! {
+    /// Converts each pair of `words` (`u1`'s word, then `u2`'s) into
+    /// `u1[p]`, `u2[p]`, bit-identical to `rng.gen::<f64>()` ([`uniform`]),
+    /// and returns how many leading pairs have a positive `u1`: the
+    /// [`clean_pairs`] of `words`, found from the converted values. The
+    /// loop is branch-free, so it vectorizes.
+    pub(crate) fn to_uniforms / to_uniforms_at(words: &[u64], u1: &mut [f64], u2: &mut [f64]) -> usize {
+        let (pairs, _) = words.as_chunks::<2>();
+        assert!(u1.len() >= pairs.len() && u2.len() >= pairs.len(), "a slot per pair");
+        let mut zero = false;
+        for ((pair, u1), u2) in pairs.iter().zip(&mut *u1).zip(&mut *u2) {
+            *u1 = uniform(pair[0]);
+            *u2 = uniform(pair[1]);
+            zero |= *u1 == 0.0;
+        }
+        if zero {
+            u1.iter().position(|&u| u == 0.0).expect("a zero u1")
+        } else {
+            pairs.len()
+        }
     }
 }
 
@@ -303,9 +393,9 @@ pub(crate) const CHUNK: usize = 2048;
 /// from `f(z)` in the sign of a zero, but a sum is `−0.0` only when both
 /// addends are, and no consumer adds a `−0.0` offset (a probe's level
 /// maps both zeros to 0 anyway).
-pub(crate) struct BracketedNormals<'a, R: ?Sized> {
+pub(crate) struct BracketedNormals<'a> {
     gauss: &'a mut Gaussian,
-    rng: &'a mut R,
+    rng: &'a mut ChipRng,
     /// The uniforms of the pair whose second variate the last request left
     /// over.
     pending: Option<(f64, f64)>,
@@ -321,7 +411,7 @@ pub(crate) struct BracketedNormals<'a, R: ?Sized> {
     tie: [bool; CHUNK],
 }
 
-impl<R: Rng + ?Sized> BracketedNormals<'_, R> {
+impl BracketedNormals<'_> {
     /// Sets `out[k] = f(k, z)` for the stream's next `out.len()` draws
     /// `z` (at most [`CHUNK`]), bit-identical to applying `f` to the
     /// matching variates of [`Gaussian::fill`]. `f` must be monotone in
@@ -380,7 +470,7 @@ impl<R: Rng + ?Sized> BracketedNormals<'_, R> {
     }
 }
 
-impl<R: ?Sized> Drop for BracketedNormals<'_, R> {
+impl Drop for BracketedNormals<'_> {
     /// Caches a pending variate as the spare, exactly as `fill` caches the
     /// second variate of its odd trailing pair. A leading spare that no
     /// request took is still in place.
@@ -528,6 +618,7 @@ fn erf(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::isa::tests::{assert_levels_agree, u1_samples};
+    use crate::rng::{tests::step_back, SEGMENT, STRETCH};
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
@@ -622,7 +713,7 @@ mod tests {
     /// length also covers the one-bit offset a leading spare creates.
     fn assert_read_matches(volts: &[f32], sigma: f64, vref: f64, seed: u64, spare_in: bool) {
         let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
+        let mut rng_b = ChipRng::seed_from_u64(seed);
         let (mut a, mut b) = (Gaussian::new(), Gaussian::new());
         if spare_in {
             a.sample(&mut rng_a);
@@ -712,7 +803,7 @@ mod tests {
         for n in [0usize, 1, 2, 3, 10, 11, 144_384] {
             for spare_in in [false, true] {
                 let mut rng_a = SmallRng::seed_from_u64(n as u64);
-                let mut rng_b = SmallRng::seed_from_u64(n as u64);
+                let mut rng_b = ChipRng::seed_from_u64(n as u64);
                 let (mut a, mut b) = (Gaussian::new(), Gaussian::new());
                 if spare_in {
                     a.sample(&mut rng_a);
@@ -850,7 +941,7 @@ mod tests {
         f: impl Fn(usize, f64) -> f32,
     ) -> usize {
         let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
+        let mut rng_b = ChipRng::seed_from_u64(seed);
         let (mut a, mut b) = (Gaussian::new(), Gaussian::new());
         if spare_in {
             a.sample(&mut rng_a);
@@ -1009,9 +1100,138 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the chunk")]
     fn bracketed_requests_are_at_most_a_chunk() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = ChipRng::seed_from_u64(1);
         let mut g = Gaussian::new();
         g.bracketed(&mut rng).map(&mut [0.0; CHUNK + 1], |_, z| z as f32);
+    }
+
+    /// A generator and its serial reference at the raw state `s`.
+    fn pair_at(s: [u64; 4]) -> (ChipRng, SmallRng) {
+        let mut seed = [0u8; 32];
+        for (chunk, word) in seed.chunks_exact_mut(8).zip(s) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        (ChipRng::from_state(s), SmallRng::from_seed(seed))
+    }
+
+    /// Asserts that pops of `pops` single words, then `draw_uniforms` of
+    /// each request in turn, give what scalar pops and `Gaussian::uniforms`
+    /// give on the serial generator, the stream position after each
+    /// included, and that `skip` over the same pairs leaves the same
+    /// position.
+    fn assert_pairs_match(s: [u64; 4], pops: usize, requests: &[usize]) {
+        let (mut ours, mut theirs) = pair_at(s);
+        let (mut skipping, _) = pair_at(s);
+        for _ in 0..pops {
+            assert_eq!(ours.next_u64(), theirs.next_u64());
+            skipping.next_u64();
+        }
+        for (r, &n) in requests.iter().enumerate() {
+            let case = format!("pops {pops} requests {requests:?} request {r}");
+            let (mut u1, mut u2) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            draw_uniforms(&mut ours, &mut u1, &mut u2);
+            for (p, (u1, u2)) in u1.iter().zip(&u2).enumerate() {
+                let (v1, v2) = Gaussian::uniforms(&mut theirs);
+                assert_eq!(
+                    (u1.to_bits(), u2.to_bits()),
+                    (v1.to_bits(), v2.to_bits()),
+                    "{case} pair {p}"
+                );
+            }
+            // `skip` of an even count draws exactly its pairs' uniforms.
+            Gaussian::new().skip(&mut skipping, 2 * n);
+            assert_eq!(skipping, ours, "{case}: skip");
+        }
+        assert_eq!(ours.next_u64(), theirs.next_u64(), "pops {pops} requests {requests:?}");
+    }
+
+    #[test]
+    fn bulk_pairs_match_serial_uniforms_across_lanes_and_stretches() {
+        let (l, w) = (SEGMENT / 2, STRETCH / 2);
+        let s = ChipRng::seed_from_u64(41).state();
+        // Pair requests that end just before, at and after a lane boundary
+        // and a refill, after an even and an odd number of single words
+        // (the odd one leaves one word of a pair at the end of a stretch).
+        for pops in [0, 1, 2, 3] {
+            for requests in [
+                vec![l - 1, 1, 1, w - l - 2, 1, 2, 1],
+                vec![w, w, 1],
+                vec![w - 1, 2, w + 3, 0, 5],
+                vec![3 * w + l + 1],
+                vec![1; 9],
+            ] {
+                assert_pairs_match(s, pops, &requests);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_u1_words_take_the_serial_retry() {
+        // A state whose first word is 5: its uniform is 0, so a `u1` there
+        // is redrawn.
+        let zero = [0, 0x1234_5678, 0x9ABC_DEF0, 5u64.rotate_right(23)];
+        assert_eq!(ChipRng::from_state(zero).next_u64(), 5);
+        let (l, w) = (SEGMENT, STRETCH);
+        // The zero word first, mid-segment in the first (serially filled)
+        // stretch and in a lane-stepped one, at the last word of a segment
+        // and of a stretch, and two words after the last; even positions
+        // are `u1` words (from the first pair on), odd ones `u2` words.
+        for at in [0, 1, 6, l - 1, l + 5, w + l + 6, w + l + 7, 2 * w - 2, 2 * w - 1, 2 * w + 1] {
+            let s = step_back(zero, at);
+            let mut check = ChipRng::from_state(s);
+            for _ in 0..at {
+                check.next_u64();
+            }
+            assert_eq!(check.next_u64(), 5, "the zero word at {at}");
+            for pops in [0, 1] {
+                assert_pairs_match(s, pops, &[at / 2 + 3, 1, w]);
+                assert_pairs_match(s, pops, &[w + l]);
+            }
+        }
+    }
+
+    #[test]
+    fn to_uniforms_bodies_agree_with_gen() {
+        // Words at the conversion's edges (zero, one, each part's carry,
+        // all ones) and random ones.
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut words = vec![0, 1 << 11, (1 << 43) - 1, 1 << 43, u64::MAX, u64::MAX << 11];
+        words.extend((0..4096).map(|_| rng.next_u64()));
+        words.extend((0..64).map(|k| 1u64 << k));
+        let n = words.len() / 2;
+        let (u1, u2) = assert_levels_agree("words", |isa| {
+            let (mut u1, mut u2) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            to_uniforms_at(isa, &words, &mut u1, &mut u2);
+            (
+                u1.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
+                u2.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
+            )
+        });
+        for (p, pair) in words.chunks_exact(2).enumerate() {
+            let gen = |w: u64| (1.0 / (1u64 << 53) as f64 * (w >> 11) as f64).to_bits();
+            assert_eq!((u1[p], u2[p]), (gen(pair[0]), gen(pair[1])), "pair {p}");
+        }
+    }
+
+    #[test]
+    fn clean_pairs_bodies_stop_at_the_first_zero_u1() {
+        let mut rng = SmallRng::seed_from_u64(44);
+        let words: Vec<u64> = (0..2 * CHUNK).map(|_| rng.next_u64() | 1 << 63).collect();
+        let n = CHUNK;
+        // Zero `u2` words do not count.
+        let mut clean = words.clone();
+        clean[1] = 0;
+        clean[2 * n - 1] = (1 << 11) - 1;
+        assert_eq!(assert_levels_agree("no zero u1", |isa| clean_pairs_at(isa, &clean)), n);
+        for zero in [0, 1, 7, n / 2, n - 1] {
+            let mut words = clean.clone();
+            words[2 * zero] = (1 << 11) - 1;
+            // A later zero `u1` word too.
+            words[2 * n - 2] = 0;
+            let found =
+                assert_levels_agree(&format!("zero at {zero}"), |isa| clean_pairs_at(isa, &words));
+            assert_eq!(found, zero);
+        }
     }
 
     #[test]

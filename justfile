@@ -14,7 +14,10 @@ verify:
 # resolves to an in-tree stand-in), formatting, workspace-wide lints, the
 # full workspace test suite, the flash model's tests again in an optimized
 # build (the chunk kernels' bit-exactness across vector levels and the
-# digests must hold where the optimizer rewrites them), the benchmark's own
+# digests must hold where the optimizer rewrites them), once more with every
+# kernel capped at the portable level (`STASH_ISA`), so the digests also
+# check the chip end to end on the bodies a CPU without AVX2 runs, the
+# benchmark's own
 # unit tests (they pin
 # BENCHMARK.json's metric list against the code), every crate's docs,
 # private items included, with warnings denied, the crash, array and
@@ -26,6 +29,7 @@ ci:
     cargo clippy --workspace --all-targets --locked -- -D warnings
     cargo test -q --workspace --locked
     cargo test -q --release -p stash-flash --locked
+    STASH_ISA=portable cargo test -q --release -p stash-flash --locked
     cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --workspace --locked
     just crash-smoke
@@ -105,10 +109,11 @@ baseline:
     cd target/bench-compare && ../release/reproduce chaos
     ./target/release/bench_compare --write-baseline results/BASELINE.json target/bench-compare/results/BENCH_table1.json target/bench-compare/results/BENCH_fig6.json target/bench-compare/results/BENCH_chaos.json
 
-# In-process cost of each chunk kernel (pair evaluation, bracket map,
-# threshold decisions, coupling fill, candidate gather and scatter) at
-# every vector level this CPU offers: median ns per draw or cell over 9
-# rounds of 3000 chunk calls.
+# In-process cost of each chunk kernel (uniform pairs, serial and through
+# the generator's lanes, pair evaluation, bracket map, threshold decisions,
+# coupling fill, candidate gather and scatter) at every vector level this
+# CPU offers: median ns per pair, draw or cell over 9 rounds of 3000 chunk
+# calls.
 kernel-times:
     cargo test --release -p stash-flash --lib kernel_timings -- --ignored --nocapture
 
